@@ -75,10 +75,13 @@ run_report() {
   local out=$1 jobs=$2
   # Full observability stack on: sampled exemplar traces, quantile
   # sketches and the phase profiler all feed the rendered report, which
-  # must still be byte-identical at any worker count.
+  # must still be byte-identical at any worker count — as must the
+  # sampled exemplars and metric time series it writes alongside.
   "$SEBS" report --provider aws \
     --functions 200 --invocations 20000 --horizon-secs 3600 \
     --metrics-interval-secs 300 --jobs "$jobs" \
+    --trace "$out/report-trace.json" \
+    --metrics "$out/report-metrics.csv" --metrics-format csv \
     --out "$out/report.md" > "$out/stdout.txt"
   "$SEBS" report --provider aws \
     --functions 200 --invocations 20000 --horizon-secs 3600 \

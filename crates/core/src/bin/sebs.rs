@@ -583,38 +583,39 @@ fn cmd_invoke(o: &Options) -> Result<(), String> {
         let mut sink = TraceSink::new();
         sink.extend(suite.take_traces());
         sink.sort_canonical();
-        write_trace(path, o.trace_format, &sink)?;
+        println!("{}", write_trace(path, o.trace_format, &sink)?);
     }
     if let Some(path) = &o.metrics {
-        write_metrics(path, o.metrics_format, &suite.take_metrics())?;
+        println!(
+            "{}",
+            write_metrics(path, o.metrics_format, &suite.take_metrics())?
+        );
     }
     Ok(())
 }
 
 /// Serializes a trace sink in the selected format.
-fn write_trace(path: &str, format: TraceFormat, sink: &TraceSink) -> Result<(), String> {
+fn write_trace(path: &str, format: TraceFormat, sink: &TraceSink) -> Result<String, String> {
     let body = match format {
         TraceFormat::Chrome => chrome_trace_json(sink),
         TraceFormat::Table => breakdown_table(sink),
     };
     std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote {} traces to {path}", sink.len());
-    Ok(())
+    Ok(format!("wrote {} traces to {path}", sink.len()))
 }
 
 /// Serializes a metrics sink in the selected format.
-fn write_metrics(path: &str, format: MetricsFormat, sink: &MetricsSink) -> Result<(), String> {
+fn write_metrics(path: &str, format: MetricsFormat, sink: &MetricsSink) -> Result<String, String> {
     let body = match format {
         MetricsFormat::Prom => prometheus_text(sink),
         MetricsFormat::Csv => csv_timeseries(sink),
     };
     std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
+    Ok(format!(
         "wrote metrics for {} platform(s) ({} sample points) to {path}",
         sink.len(),
         sink.point_count()
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_experiment(o: &Options) -> Result<(), String> {
@@ -677,10 +678,13 @@ fn cmd_experiment(o: &Options) -> Result<(), String> {
                 println!("wrote {} rows to {path}", store.len());
             }
             if let Some(path) = &o.trace {
-                write_trace(path, o.trace_format, &result.traces)?;
+                println!("{}", write_trace(path, o.trace_format, &result.traces)?);
             }
             if let Some(path) = &o.metrics {
-                write_metrics(path, o.metrics_format, &result.metrics)?;
+                println!(
+                    "{}",
+                    write_metrics(path, o.metrics_format, &result.metrics)?
+                );
             }
         }
         "eviction-model" => {
@@ -802,10 +806,13 @@ fn cmd_availability(o: &Options) -> Result<(), String> {
         println!("wrote {} rows to {path}", store.len());
     }
     if let Some(path) = &o.trace {
-        write_trace(path, o.trace_format, &result.traces)?;
+        println!("{}", write_trace(path, o.trace_format, &result.traces)?);
     }
     if let Some(path) = &o.metrics {
-        write_metrics(path, o.metrics_format, &result.metrics)?;
+        println!(
+            "{}",
+            write_metrics(path, o.metrics_format, &result.metrics)?
+        );
     }
     Ok(())
 }
@@ -892,7 +899,7 @@ fn cmd_cluster(o: &Options) -> Result<(), String> {
         println!("wrote {} rows to {path}", store.len());
     }
     if let Some(path) = &o.trace {
-        write_trace(path, o.trace_format, &result.traces)?;
+        println!("{}", write_trace(path, o.trace_format, &result.traces)?);
     }
     Ok(())
 }
@@ -989,10 +996,13 @@ fn cmd_fleet(o: &Options) -> Result<(), String> {
         println!("wrote {} rows to {path}", store.len());
     }
     if let Some(path) = &o.trace {
-        write_trace(path, o.trace_format, &result.traces)?;
+        println!("{}", write_trace(path, o.trace_format, &result.traces)?);
     }
     if let Some(path) = &o.metrics {
-        write_metrics(path, o.metrics_format, &result.metrics)?;
+        println!(
+            "{}",
+            write_metrics(path, o.metrics_format, &result.metrics)?
+        );
     }
     Ok(())
 }
@@ -1018,6 +1028,17 @@ fn cmd_report(o: &Options) -> Result<(), String> {
             eprintln!("wrote {} bytes to {path}", rendered.len());
         }
         None => print!("{rendered}"),
+    }
+    // Standard output may carry the report itself, so the export notes
+    // go to standard error.
+    if let Some(path) = &o.trace {
+        eprintln!("{}", write_trace(path, o.trace_format, &result.traces)?);
+    }
+    if let Some(path) = &o.metrics {
+        eprintln!(
+            "{}",
+            write_metrics(path, o.metrics_format, &result.metrics)?
+        );
     }
     Ok(())
 }
@@ -1255,6 +1276,46 @@ mod tests {
         );
         assert!(parse(&["--format", "pdf"]).unwrap_err().contains("pdf"));
         assert!(parse(&["--out"]).unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn report_writes_its_trace_and_metrics_exports() {
+        let dir = std::env::temp_dir().join(format!("sebs-report-exports-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (out, trace, metrics) = (path("r.md"), path("t.json"), path("m.csv"));
+        let o = parse(&[
+            "--functions",
+            "40",
+            "--invocations",
+            "2000",
+            "--horizon-secs",
+            "600",
+            "--metrics-interval-secs",
+            "60",
+            "--jobs",
+            "1",
+            "--out",
+            &out,
+            "--trace",
+            &trace,
+            "--metrics",
+            &metrics,
+            "--metrics-format",
+            "csv",
+        ])
+        .unwrap();
+        cmd_report(&o).unwrap();
+        let read = |p: &str| std::fs::read_to_string(p).unwrap();
+        let (trace_body, metrics_body) = (read(&trace), read(&metrics));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            trace_body.contains("\"traceEvents\""),
+            "chrome trace written"
+        );
+        assert!(trace_body.contains("invocation"), "exemplar spans present");
+        assert!(metrics_body.starts_with("t_secs,cell,provider,metric,labels,value\n"));
+        assert!(metrics_body.lines().count() > 1, "sampled points written");
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub mod eviction;
 pub mod function;
 pub mod invocation;
 pub mod monitoring;
+mod observe;
 pub mod platform;
 pub mod pool;
 pub mod provider;

@@ -11,8 +11,8 @@ use sebs_resilience::{InjectionCounts, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
-use sebs_telemetry::{MetricsChunk, MetricsHub, DEFAULT_SAMPLE_INTERVAL};
-use sebs_trace::{InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
+use sebs_telemetry::{MetricsChunk, DEFAULT_SAMPLE_INTERVAL};
+use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
@@ -20,6 +20,7 @@ use crate::function::{FunctionConfig, FunctionId};
 use crate::invocation::{
     AttemptChain, FunctionErrorKind, InvocationOutcome, InvocationRecord, StartKind,
 };
+use crate::observe::PlatformMetrics;
 use crate::pool::{ContainerPool, PoolObservation};
 use crate::provider::ProviderProfile;
 use crate::trigger::TriggerKind;
@@ -157,16 +158,17 @@ pub struct FaasPlatform {
     tracing: bool,
     trace_seq: u64,
     traces: Vec<InvocationTrace>,
-    // Bounded trace sampling: when installed, collected traces flow into
-    // the sampler (own RNG streams, so results never change) instead of
-    // the unbounded `traces` vector.
+    // Bounded trace sampling: when installed, the sampler admits each
+    // trace before its span tree is built (own RNG streams, so results
+    // never change), and kept traces flow into it instead of the
+    // unbounded `traces` vector.
     sampler: Option<TraceSampler>,
     // Sim-time phase profiling shares the tracing contract: preallocated,
     // no RNG draw, no wall-clock read, zero cost when `None`.
     profiler: Option<PhaseProfiler>,
     // Metrics collection shares the tracing contract: purely observational,
     // no RNG draw and no wall-clock read, so results never change with it.
-    metrics: Option<MetricsHub>,
+    metrics: Option<PlatformMetrics>,
     // The platform's root seed, kept so fault injection and retry state
     // can derive their own dedicated streams lazily.
     seed: u64,
@@ -352,28 +354,34 @@ impl FaasPlatform {
     /// observational — no RNG stream is touched and no wall clock is read,
     /// so enabling it cannot change any simulation result.
     pub fn enable_metrics(&mut self, interval: SimDuration) {
-        let mut hub = MetricsHub::new(interval);
-        // Static platform facts, exported once as info-gauges: the
-        // concurrency ceiling the burst gauges are judged against, and the
-        // monitoring-fidelity caveats behind Figure 5b (Azure's memory
-        // numbers exist but are garbage; GCP reports none at all).
+        self.metrics = Some(PlatformMetrics::new(interval));
+        self.set_static_gauges();
+    }
+
+    /// Static platform facts, exported as info-gauges: the concurrency
+    /// ceiling the burst gauges are judged against, and the
+    /// monitoring-fidelity caveats behind Figure 5b (Azure's memory
+    /// numbers exist but are garbage; GCP reports none at all).
+    fn set_static_gauges(&mut self) {
+        let Some(m) = self.metrics.as_mut() else {
+            return;
+        };
         let mon = crate::monitoring::MonitoringApi::for_kind(self.profile.kind);
-        hub.gauge_set(
+        m.hub.gauge_set(
             "sebs_concurrency_limit",
             &[],
             self.profile.limits.concurrency as f64,
         );
-        hub.gauge_set(
+        m.hub.gauge_set(
             "sebs_monitoring_reports_memory",
             &[],
             mon.reports_memory() as u64 as f64,
         );
-        hub.gauge_set(
+        m.hub.gauge_set(
             "sebs_monitoring_memory_reliable",
             &[],
             mon.memory_reliable() as u64 as f64,
         );
-        self.metrics = Some(hub);
     }
 
     /// Switches metrics collection on (at [`DEFAULT_SAMPLE_INTERVAL`]) or
@@ -391,17 +399,18 @@ impl FaasPlatform {
         self.metrics.is_some()
     }
 
-    /// Drains the metrics collected so far as one provider-tagged chunk,
-    /// re-arming an empty hub with the same interval. Observed gauges and
-    /// counters are refreshed as of the current instant first, so the
-    /// final snapshot reflects the platform state at drain time. Returns
+    /// Drains the metrics collected so far as one provider-tagged chunk.
+    /// Observed gauges and counters are refreshed as of the current
+    /// instant first, so the final snapshot reflects the platform state at
+    /// drain time. Collection carries on from there: the static gauges are
+    /// set again, and the sampler resumes at the next boundary it has not
+    /// sampled, never re-sampling an instant that was drained. Returns
     /// `None` when collection is disabled.
     pub fn take_metrics(&mut self) -> Option<MetricsChunk> {
         self.refresh_observed_metrics(self.now);
-        let hub = self.metrics.take()?;
-        let interval = hub.interval();
-        let chunk = hub.into_chunk(&self.profile.kind.to_string());
-        self.enable_metrics(interval);
+        let provider = self.profile.kind.to_string();
+        let chunk = self.metrics.as_mut()?.hub.drain(&provider);
+        self.set_static_gauges();
         Some(chunk)
     }
 
@@ -409,12 +418,12 @@ impl FaasPlatform {
     /// refreshing the observed pool and storage metrics at each boundary.
     fn pump_metrics(&mut self, upto: SimTime) {
         loop {
-            let Some(due) = self.metrics.as_ref().and_then(|h| h.next_due(upto)) else {
+            let Some(due) = self.metrics.as_ref().and_then(|m| m.hub.next_due(upto)) else {
                 return;
             };
             self.refresh_observed_metrics(due);
-            if let Some(hub) = self.metrics.as_mut() {
-                hub.sample_at(due);
+            if let Some(m) = self.metrics.as_mut() {
+                m.hub.sample_at(due);
             }
         }
     }
@@ -423,46 +432,16 @@ impl FaasPlatform {
     /// and statistics, storage statistics — into the hub, as of instant
     /// `t`. Pure observation: pools are not advanced and no RNG is drawn.
     fn refresh_observed_metrics(&mut self, t: SimTime) {
-        if self.metrics.is_none() {
-            return;
-        }
-        let pools: Vec<(String, crate::pool::PoolObservation, u64, u64, u64)> = self
-            .pools
-            .iter()
-            .map(|(key, pool)| {
-                (
-                    key.clone(),
-                    pool.observe(t),
-                    pool.cold_starts,
-                    pool.warm_hits,
-                    pool.evictions,
-                )
-            })
-            .collect();
-        let storage = self.storage.stats();
-        let fault_counts = self.faults.as_ref().map(|f| f.counts());
-        let Some(hub) = self.metrics.as_mut() else {
+        let Some(m) = self.metrics.as_mut() else {
             return;
         };
+        m.refresh_pools(&self.pools, t);
+        let hub = &mut m.hub;
         // Counter snapshots at zero stay absent (Prometheus convention:
         // a counter series appears on first increment) — otherwise an
         // untouched platform would export all-zero storage counters and
         // never count as idle.
-        for (key, obs, cold, warm_hits, evictions) in &pools {
-            let labels = [("pool", key.as_str())];
-            hub.gauge_set("sebs_containers_warm", &labels, obs.warm as f64);
-            hub.gauge_set("sebs_containers_idle", &labels, obs.idle as f64);
-            hub.gauge_set("sebs_containers_active", &labels, obs.active as f64);
-            for (metric, value) in [
-                ("sebs_pool_cold_starts_total", *cold),
-                ("sebs_pool_warm_hits_total", *warm_hits),
-                ("sebs_pool_evictions_total", *evictions),
-            ] {
-                if value > 0 {
-                    hub.counter_set(metric, &labels, value as f64);
-                }
-            }
-        }
+        let storage = self.storage.stats();
         for (op, count) in [
             ("get", storage.gets),
             ("put", storage.puts),
@@ -481,7 +460,7 @@ impl FaasPlatform {
                 );
             }
         }
-        if let Some(counts) = fault_counts {
+        if let Some(counts) = self.faults.as_ref().map(|f| f.counts()) {
             for (kind, count) in counts.entries() {
                 if count > 0 {
                     hub.counter_set(
@@ -495,52 +474,17 @@ impl FaasPlatform {
     }
 
     /// Records the per-invocation event metrics for one completed (or
-    /// rejected) invocation.
-    fn record_invocation_metrics(&mut self, name: &str, record: &InvocationRecord, spurious: bool) {
-        let Some(hub) = self.metrics.as_mut() else {
-            return;
-        };
-        hub.counter_add(
-            "sebs_invocations_total",
-            &[("function", name), ("outcome", record.outcome.label())],
-            1.0,
-        );
-        if record.container.is_none() {
-            // Rejected before a sandbox was acquired (payload limit,
-            // throttle, availability): no start, no bill.
-            return;
+    /// rejected) invocation through the function's cached handles.
+    fn record_invocation_metrics(
+        &mut self,
+        id: FunctionId,
+        name: &str,
+        record: &InvocationRecord,
+        spurious: bool,
+    ) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.record_invocation(id, name, record, spurious);
         }
-        let start = match (record.start, spurious) {
-            (StartKind::Cold, true) => "spurious_cold",
-            (StartKind::Cold, false) => "cold",
-            (StartKind::Warm, _) => "warm",
-        };
-        hub.counter_add(
-            "sebs_starts_total",
-            &[("function", name), ("kind", start)],
-            1.0,
-        );
-        hub.observe_ms(
-            "sebs_invocation_latency_ms",
-            &[("function", name), ("start", start)],
-            record.client_time.as_millis_f64(),
-        );
-        let fun = [("function", name)];
-        hub.counter_add(
-            "sebs_billed_duration_ms_total",
-            &fun,
-            record.bill.billed_duration.as_millis_f64(),
-        );
-        let gb_s = record.bill.billed_memory_mb as f64 / 1024.0
-            * record.bill.billed_duration.as_secs_f64();
-        hub.counter_add("sebs_billed_gb_seconds_total", &fun, gb_s);
-        hub.counter_add("sebs_cost_usd_total", &fun, record.bill.total_usd());
-        hub.counter_add(
-            "sebs_egress_bytes_total",
-            &fun,
-            record.response_bytes as f64,
-        );
-        hub.gauge_set("sebs_burst_concurrency", &fun, record.concurrency as f64);
     }
 
     /// The provider profile in force.
@@ -769,11 +713,13 @@ impl FaasPlatform {
             let admitted = breaker.allow(self.now);
             let breaker_state = breaker.state();
             let rejections = breaker.rejections();
-            if let Some(hub) = self.metrics.as_mut() {
+            if let Some(m) = self.metrics.as_mut() {
                 let fun = [("function", name.as_str())];
-                hub.gauge_set("sebs_breaker_state", &fun, breaker_state.as_gauge() as f64);
+                m.hub
+                    .gauge_set("sebs_breaker_state", &fun, breaker_state.as_gauge() as f64);
                 if rejections > 0 {
-                    hub.counter_set("sebs_breaker_rejections_total", &fun, rejections as f64);
+                    m.hub
+                        .counter_set("sebs_breaker_rejections_total", &fun, rejections as f64);
                 }
             }
             if !admitted {
@@ -804,8 +750,8 @@ impl FaasPlatform {
             let attempt_index = chain.attempts.len() as u32;
             let primary = self.invoke(id, workload, payload);
             if attempt_index > 0 {
-                if let Some(hub) = self.metrics.as_mut() {
-                    hub.counter_add(
+                if let Some(m) = self.metrics.as_mut() {
+                    m.hub.counter_add(
                         "sebs_retry_attempts_total",
                         &[("function", name.as_str())],
                         1.0,
@@ -851,9 +797,10 @@ impl FaasPlatform {
                         attempt_outcome = hedge.outcome.clone();
                         attempt_time = hedge_total;
                     }
-                    if let Some(hub) = self.metrics.as_mut() {
+                    if let Some(m) = self.metrics.as_mut() {
                         let result = if hedge_wins { "won" } else { "lost" };
-                        hub.counter_add("sebs_hedge_attempts_total", &[("result", result)], 1.0);
+                        m.hub
+                            .counter_add("sebs_hedge_attempts_total", &[("result", result)], 1.0);
                     }
                     chain.attempts.push(hedge);
                 }
@@ -866,8 +813,8 @@ impl FaasPlatform {
                     breaker.record_failure(self.now + attempt_time);
                 }
                 let breaker_state = breaker.state();
-                if let Some(hub) = self.metrics.as_mut() {
-                    hub.gauge_set(
+                if let Some(m) = self.metrics.as_mut() {
+                    m.hub.gauge_set(
                         "sebs_breaker_state",
                         &[("function", name.as_str())],
                         breaker_state.as_gauge() as f64,
@@ -903,10 +850,14 @@ impl FaasPlatform {
         chain.client_time = elapsed;
 
         if self.tracing && chain.attempts.len() > 1 {
+            // The chain's extent is known only once its span is laid out,
+            // so this rare trace is built before admission.
             let root = build_chain_span(&chain, chain_start, hedge_offset);
             debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
             let failed = !chain.outcome.is_success();
-            self.push_trace(&name, memory, root, failed);
+            if let Some(ticket) = self.admit_trace(&name, root.duration, failed) {
+                self.store_trace(ticket, &name, memory, root);
+            }
         }
         chain
     }
@@ -1014,7 +965,7 @@ impl FaasPlatform {
             };
             record.t_recv_client = (self.now + rtt).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &deployed.config.name, &record, false);
             return record;
         }
 
@@ -1024,7 +975,7 @@ impl FaasPlatform {
             record.client_time = rtt + req_transfer;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &deployed.config.name, &record, false);
             return record;
         }
 
@@ -1046,7 +997,7 @@ impl FaasPlatform {
             record.client_time = rtt + req_transfer + quirks.unavailable_penalty;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &deployed.config.name, &record, false);
             return record;
         }
 
@@ -1256,7 +1207,10 @@ impl FaasPlatform {
         record.t_recv_client = (self.now + record.client_time).as_secs_f64();
         record.outcome = outcome;
 
-        if self.tracing {
+        // The root span covers exactly the client time, so the sampler can
+        // decide on it before the span tree is built.
+        let failed = !record.outcome.is_success();
+        if let Some(ticket) = self.admit_trace(&deployed.config.name, record.client_time, failed) {
             let root = self.build_invocation_span(
                 &deployed,
                 &record,
@@ -1277,11 +1231,11 @@ impl FaasPlatform {
                 Ok(()),
                 "invocation span tree is well-formed"
             );
-            let failed = !record.outcome.is_success();
-            self.push_trace(&deployed.config.name, memory, root, failed);
+            debug_assert_eq!(root.duration, record.client_time);
+            self.store_trace(ticket, &deployed.config.name, memory, root);
         }
 
-        self.record_invocation_metrics(&deployed.config.name, &record, spurious);
+        self.record_invocation_metrics(id, &deployed.config.name, &record, spurious);
 
         releases.push((deployed, acquired.id(), self.now + record.provider_time));
         record
@@ -1419,35 +1373,69 @@ impl FaasPlatform {
     /// was ever acquired (payload limit, throttle, availability error).
     // audit:allow(hot-path-allocation): span trees are built only when tracing is enabled
     fn record_failure_trace(&mut self, benchmark: &str, record: &InvocationRecord) {
-        if !self.tracing {
+        let Some(ticket) = self.admit_trace(benchmark, record.client_time, true) else {
             return;
-        }
+        };
         let root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
             .with_arg("benchmark", benchmark)
             .with_arg("provider", self.profile.kind.to_string())
             .with_arg("outcome", record.outcome.label())
             .with_arg("memory_mb", record.configured_memory_mb.to_string())
             .with_arg("concurrency", record.concurrency.to_string());
-        self.push_trace(benchmark, record.configured_memory_mb, root, true);
+        self.store_trace(ticket, benchmark, record.configured_memory_mb, root);
     }
 
-    // audit:allow(hot-path-allocation): trace records are pushed only when tracing is enabled
-    fn push_trace(&mut self, benchmark: &str, memory_mb: u32, root: TraceSpan, failed: bool) {
+    /// Claims the next trace sequence number for an invocation of
+    /// `benchmark` whose root span lasts `duration`, and asks the sampler
+    /// whether that trace is kept. `None` means it is not (or tracing is
+    /// off), so the caller skips building the span tree altogether.
+    fn admit_trace(
+        &mut self,
+        benchmark: &str,
+        duration: SimDuration,
+        failed: bool,
+    ) -> Option<TraceTicket> {
+        if !self.tracing {
+            return None;
+        }
         let seq = self.trace_seq;
         self.trace_seq += 1;
+        let admission = match self.sampler.as_mut() {
+            Some(s) => Some(s.admit(benchmark, duration, seq, failed)?),
+            None => None,
+        };
+        Some(TraceTicket { seq, admission })
+    }
+
+    /// Keeps the span tree of an admitted invocation.
+    // audit:allow(hot-path-allocation): trace records are pushed only when tracing is enabled
+    fn store_trace(
+        &mut self,
+        ticket: TraceTicket,
+        benchmark: &str,
+        memory_mb: u32,
+        root: TraceSpan,
+    ) {
         let trace = InvocationTrace {
             provider: self.profile.kind.to_string(),
             benchmark: benchmark.to_string(),
             memory_mb,
             cell: None,
-            seq,
+            seq: ticket.seq,
             root,
         };
-        match self.sampler.as_mut() {
-            Some(s) => s.offer(trace, failed),
-            None => self.traces.push(trace),
+        match (self.sampler.as_mut(), ticket.admission) {
+            (Some(s), Some(admission)) => s.store(admission, trace),
+            _ => self.traces.push(trace),
         }
     }
+}
+
+/// An admitted trace: its sequence number and, under a sampler, where the
+/// sampler will keep it.
+struct TraceTicket {
+    seq: u64,
+    admission: Option<Admission>,
 }
 
 /// The intermediate quantities of `invoke_one` that the span layout needs.
@@ -2135,8 +2123,8 @@ mod tests {
             .points
             .iter()
             .filter(|pt| {
-                pt.series.name == "sebs_containers_warm"
-                    && pt.series.labels == vec![("pool".to_string(), "fn:0".to_string())]
+                chunk.series_key(pt).name == "sebs_containers_warm"
+                    && chunk.series_key(pt).labels == vec![("pool".to_string(), "fn:0".to_string())]
             })
             .map(|pt| pt.value)
             .fold(0.0f64, f64::max);
@@ -2164,6 +2152,32 @@ mod tests {
             .iter()
             .all(|(k, _)| !k.name.starts_with("sebs_starts")
                 && !k.name.starts_with("sebs_invocations")));
+    }
+
+    #[test]
+    fn take_metrics_does_not_resample_drained_instants() {
+        let mut p = aws();
+        p.enable_metrics(SimDuration::from_secs(1));
+        let (fid, wl, payload) = deploy_html(&mut p, 512);
+        p.invoke(fid, &wl, &payload);
+        p.advance(SimDuration::from_secs(5));
+        let first = p.take_metrics().expect("metrics enabled");
+        let instants = |c: &MetricsChunk| {
+            let mut at: Vec<SimTime> = c.points.iter().map(|pt| c.instant(pt)).collect();
+            at.dedup();
+            at
+        };
+        assert_eq!(
+            instants(&first),
+            (1..=5).map(SimTime::from_secs).collect::<Vec<_>>()
+        );
+        p.advance(SimDuration::from_secs(2));
+        let second = p.take_metrics().expect("still enabled");
+        assert_eq!(
+            instants(&second),
+            vec![SimTime::from_secs(6), SimTime::from_secs(7)],
+            "a drain must not rewind the sampler to boundaries already drained"
+        );
     }
 
     #[test]

@@ -5,53 +5,57 @@
 //! the bytes are independent of chunk merge order and worker count.
 
 use crate::fmt::{fmt_secs, fmt_value};
+use crate::registry::SeriesKey;
 use crate::sink::MetricsSink;
+
+/// One output row: (cell sort key, provider, metric, labels, time, value).
+type Row<'a> = ((bool, u64), &'a str, &'a str, &'a str, u64, f64);
 
 /// Renders every sampled point as RFC-4180 CSV.
 pub fn csv_timeseries(sink: &MetricsSink) -> String {
-    // (cell sort key, provider, metric, labels, time, value)
-    let mut rows: Vec<((bool, u64), &str, &str, String, u64, f64)> = Vec::new();
-    for chunk in sink.chunks() {
+    // Series keys resolve through each chunk's id table, so the label
+    // field of a series is joined once, not once per point.
+    let mut rows: Vec<Row> = Vec::with_capacity(sink.point_count());
+    let label_fields: Vec<Vec<String>> = sink
+        .chunks()
+        .iter()
+        .map(|chunk| chunk.series.iter().map(label_field).collect())
+        .collect();
+    for (chunk, labels) in sink.chunks().iter().zip(&label_fields) {
         let cell = (chunk.cell.is_some(), chunk.cell.unwrap_or(0));
         for p in &chunk.points {
-            let labels: Vec<String> = p
-                .series
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
             rows.push((
                 cell,
                 chunk.provider.as_str(),
-                p.series.name.as_str(),
-                labels.join(";"),
-                p.at.as_nanos(),
+                chunk.series_key(p).name.as_str(),
+                labels[p.series.index()].as_str(),
+                chunk.instant(p).as_nanos(),
                 p.value,
             ));
         }
     }
-    rows.sort_by(|a, b| (&a.0, a.1, a.2, &a.3, a.4).cmp(&(&b.0, b.1, b.2, &b.3, b.4)));
+    rows.sort_by(|a, b| (&a.0, a.1, a.2, a.3, a.4).cmp(&(&b.0, b.1, b.2, b.3, b.4)));
 
     let mut out = String::from("t_secs,cell,provider,metric,labels,value\n");
     for ((has_cell, cell), provider, metric, labels, at_ns, value) in rows {
-        let cell_field = if has_cell {
+        let cell = if has_cell {
             cell.to_string()
         } else {
             String::new()
         };
-        let fields = [
-            fmt_secs(sebs_sim::SimTime::from_nanos(at_ns)),
-            cell_field,
-            provider.to_string(),
-            metric.to_string(),
-            labels,
-            fmt_value(value),
-        ];
-        let escaped: Vec<String> = fields.iter().map(|f| escape(f)).collect();
-        out.push_str(&escaped.join(","));
+        let t = fmt_secs(sebs_sim::SimTime::from_nanos(at_ns));
+        let v = fmt_value(value);
+        let fields = [t.as_str(), &cell, provider, metric, labels, &v];
+        out.push_str(&fields.map(escape).join(","));
         out.push('\n');
     }
     out
+}
+
+/// The `k=v;k=v` label field of one series.
+fn label_field(key: &SeriesKey) -> String {
+    let labels: Vec<String> = key.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    labels.join(";")
 }
 
 /// RFC-4180 field escaping: quote when the field contains a comma, quote

@@ -10,30 +10,38 @@
 
 use sebs_sim::{SimDuration, SimTime};
 
-use crate::registry::{MetricsRegistry, SeriesKey};
+use crate::registry::{MetricsRegistry, SeriesId};
 use crate::sink::MetricsChunk;
 
 /// Default gauge-sampling interval: one sim-second.
 pub const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// One sampled value of one series at one sim-time instant.
-#[derive(Debug, Clone, PartialEq)]
+/// One sampled value of one series at one sim-time instant: a 16-byte
+/// `Copy` record with no heap behind it. The instant and the series key
+/// are resolved through the owning chunk's tables
+/// ([`MetricsChunk::instant`], [`MetricsChunk::series_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricPoint {
-    /// Sample instant on the simulator clock.
-    pub at: SimTime,
-    /// The sampled series.
-    pub series: SeriesKey,
-    /// Counter or gauge value at `at`.
+    /// Index of the sample instant in the chunk's `instants` table.
+    pub tick: u32,
+    /// The sampled series, an index into the chunk's `series` table.
+    pub series: SeriesId,
+    /// Counter or gauge value at the instant.
     pub value: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<MetricPoint>() == 16);
+
 /// A metric registry plus an interval sampler producing sim-time series.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MetricsHub {
     interval: SimDuration,
-    /// Samples taken so far; the next boundary is `(ticks + 1) · interval`.
+    /// Samples taken so far, across drains; the next boundary is
+    /// `(ticks + 1) · interval`.
     ticks: u64,
     registry: MetricsRegistry,
+    /// Instants sampled since the last drain; `MetricPoint::tick` indexes it.
+    instants: Vec<SimTime>,
     points: Vec<MetricPoint>,
 }
 
@@ -44,6 +52,7 @@ impl MetricsHub {
             interval: interval.max(SimDuration::from_nanos(1)),
             ticks: 0,
             registry: MetricsRegistry::new(),
+            instants: Vec::new(),
             points: Vec::new(),
         }
     }
@@ -65,21 +74,47 @@ impl MetricsHub {
     /// advances the sampling cursor. Histograms are final-snapshot-only
     /// (they already aggregate over time) and are not sampled per tick.
     pub fn sample_at(&mut self, t: SimTime) {
-        for (k, v) in self.registry.counters() {
-            self.points.push(MetricPoint {
-                at: t,
-                series: k.clone(),
-                value: v,
-            });
-        }
-        for (k, v) in self.registry.gauges() {
-            self.points.push(MetricPoint {
-                at: t,
-                series: k.clone(),
-                value: v,
-            });
-        }
+        let tick = self.instants.len() as u32;
+        self.instants.push(t);
+        let values = self.registry.counter_ids().chain(self.registry.gauge_ids());
+        self.points
+            .extend(values.map(|(series, value)| MetricPoint {
+                tick,
+                series,
+                value,
+            }));
         self.ticks += 1;
+    }
+
+    /// Interns a counter series and returns its handle. Interning records
+    /// nothing: the series appears on its first record.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.registry.counter(name, labels)
+    }
+
+    /// Interns a gauge and returns its handle.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.registry.gauge(name, labels)
+    }
+
+    /// Interns a latency histogram and returns its handle.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.registry.histogram(name, labels)
+    }
+
+    /// Adds to a counter handle.
+    pub fn add(&mut self, id: SeriesId, v: f64) {
+        self.registry.add(id, v);
+    }
+
+    /// Sets a counter or gauge handle.
+    pub fn set(&mut self, id: SeriesId, v: f64) {
+        self.registry.set(id, v);
+    }
+
+    /// Observes a histogram handle in sim-milliseconds.
+    pub fn observe(&mut self, id: SeriesId, ms: f64) {
+        self.registry.observe(id, ms);
     }
 
     /// Adds to a monotone counter.
@@ -112,18 +147,28 @@ impl MetricsHub {
         &self.points
     }
 
-    /// Consumes the hub into an exportable chunk tagged with the owning
-    /// provider (and no cell — grid drivers tag cells afterwards).
-    pub fn into_chunk(self, provider: &str) -> MetricsChunk {
-        let (counters, gauges, histograms) = self.registry.into_parts();
+    /// Takes everything collected since the last drain as an exportable
+    /// chunk tagged with the owning provider (and no cell — grid drivers
+    /// tag cells afterwards). The hub keeps its sampling cursor and its
+    /// interned series, so cached handles stay valid and the next sample
+    /// lands on the next unsampled boundary.
+    pub fn drain(&mut self, provider: &str) -> MetricsChunk {
+        let (counters, gauges, histograms) = self.registry.drain_parts();
         MetricsChunk {
             provider: provider.to_string(),
             cell: None,
             counters,
             gauges,
             histograms,
-            points: self.points,
+            series: self.registry.keys().to_vec(),
+            instants: std::mem::take(&mut self.instants),
+            points: std::mem::take(&mut self.points),
         }
+    }
+
+    /// Consumes the hub into an exportable chunk; see [`MetricsHub::drain`].
+    pub fn into_chunk(mut self, provider: &str) -> MetricsChunk {
+        self.drain(provider)
     }
 }
 
@@ -167,7 +212,7 @@ mod tests {
         let names: Vec<&str> = hub
             .points()
             .iter()
-            .map(|p| p.series.name.as_str())
+            .map(|p| hub.registry().key(p.series).name.as_str())
             .collect();
         assert_eq!(names, vec!["c", "g"], "histograms are snapshot-only");
         assert_eq!(hub.points()[0].value, 2.0);

@@ -27,11 +27,17 @@
 //! ## Layout
 //!
 //! * [`MetricsRegistry`] — counters, gauges and sim-time-bucketed
-//!   [`SimHistogram`]s keyed by `(name, sorted labels)`.
+//!   [`SimHistogram`]s keyed by `(name, sorted labels)`. Each series is
+//!   interned once into a dense [`SeriesId`] handle; hot paths record
+//!   through the handle (a `Vec` index), and a series still appears only
+//!   on its first record.
 //! * [`MetricsHub`] — a registry plus the sim-clock sampler producing
-//!   [`MetricPoint`] time series at a configurable interval.
+//!   [`MetricPoint`] time series at a configurable interval. A point is
+//!   a 16-byte `Copy` record (instant index, series id, value) with no
+//!   heap allocation; draining keeps the handles and the sampling cursor.
 //! * [`MetricsChunk`] / [`MetricsSink`] — drained hubs tagged with
-//!   provider and cell, merged in canonical order.
+//!   provider and cell, merged in canonical order. A chunk carries its
+//!   id → key and instant tables once, for the exporters to resolve.
 //! * [`prometheus_text`] — final-snapshot Prometheus text exposition.
 //! * [`csv_timeseries`] — RFC-4180 CSV of the sampled time series.
 
@@ -47,7 +53,7 @@ pub mod csv;
 pub use histogram::{SimHistogram, DEFAULT_LATENCY_BOUNDS_MS};
 pub use hub::{MetricPoint, MetricsHub, DEFAULT_SAMPLE_INTERVAL};
 pub use prom::prometheus_text;
-pub use registry::{MetricsRegistry, SeriesKey};
+pub use registry::{MetricsRegistry, SeriesId, SeriesKey};
 pub use sink::{MetricsChunk, MetricsSink};
 
 pub use csv::csv_timeseries;

@@ -1,9 +1,13 @@
 //! The metric registry: counters, gauges and histograms keyed by
 //! `(name, sorted labels)`.
 //!
-//! Everything lives in `BTreeMap`s so iteration order — and therefore
-//! every export — is a pure function of the recorded data, never of
-//! insertion order or hashing.
+//! A series is interned once into a dense [`SeriesId`]; recording through
+//! the id is a `Vec` index, with no key rebuild and no string compare.
+//! Interning alone does not make a series exist: it appears (in
+//! iteration, sampling and export) on its first record, exactly as if it
+//! had been created by that record. Each family keeps its present series
+//! sorted by key, so iteration order — and therefore every export — is a
+//! pure function of the recorded data, never of interning order.
 
 use std::collections::BTreeMap;
 
@@ -42,26 +46,52 @@ impl SeriesKey {
     }
 }
 
+/// A dense handle to one interned series of a [`MetricsRegistry`]: an
+/// index into the registry's key table, valid for the registry's whole
+/// life (draining resets values, never ids).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(u32);
+
+impl SeriesId {
+    /// The position of the series in the id → key table.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The metric family a series belongs to. The same key may be interned
+/// in more than one family; each gets its own id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Counter = 0,
+    Gauge = 1,
+    Histogram = 2,
+}
+
+/// The recorded state of one interned series.
+#[derive(Debug, Clone)]
+enum Slot {
+    /// Interned but not recorded (since creation or the last drain).
+    Absent,
+    Value(f64),
+    Hist(SimHistogram),
+}
+
 /// The three metric families of one collection scope.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<SeriesKey, f64>,
-    gauges: BTreeMap<SeriesKey, f64>,
-    histograms: BTreeMap<SeriesKey, SimHistogram>,
-    // Reusable lookup key: record calls fill it in place (keeping every
-    // String's capacity) and only clone it when a series is first created,
-    // so steady-state recording against existing series allocates nothing.
+    /// id → key, family and recorded state.
+    keys: Vec<SeriesKey>,
+    families: Vec<Family>,
+    slots: Vec<Slot>,
+    /// key → id, one map per family (indexed by `Family as usize`).
+    index: [BTreeMap<SeriesKey, SeriesId>; 3],
+    /// Recorded ids of each family, sorted by key.
+    present: [Vec<SeriesId>; 3],
+    // Reusable lookup key: name-based calls fill it in place (keeping
+    // every String's capacity) and only clone it when a series is first
+    // interned, so resolving an existing series allocates nothing.
     scratch: SeriesKey,
-}
-
-// Equality compares recorded data only; the scratch key is an internal
-// buffer whose residual contents are irrelevant.
-impl PartialEq for MetricsRegistry {
-    fn eq(&self, other: &Self) -> bool {
-        self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.histograms == other.histograms
-    }
 }
 
 /// Rebuilds `scratch` as the canonical key for `(name, labels)` without
@@ -90,89 +120,190 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    fn resolve(&mut self, family: Family, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        fill_scratch(&mut self.scratch, name, labels);
+        let index = &mut self.index[family as usize];
+        if let Some(&id) = index.get(&self.scratch) {
+            return id;
+        }
+        let id = SeriesId(self.keys.len() as u32);
+        index.insert(self.scratch.clone(), id);
+        self.keys.push(self.scratch.clone());
+        self.families.push(family);
+        self.slots.push(Slot::Absent);
+        id
+    }
+
+    /// Interns a counter series and returns its handle. The series does
+    /// not exist until its first record.
+    pub(crate) fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.resolve(Family::Counter, name, labels)
+    }
+
+    /// Interns a gauge series (see [`MetricsRegistry::counter`]).
+    pub(crate) fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.resolve(Family::Gauge, name, labels)
+    }
+
+    /// Interns a latency histogram series (see [`MetricsRegistry::counter`]).
+    pub(crate) fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> SeriesId {
+        self.resolve(Family::Histogram, name, labels)
+    }
+
+    /// Marks an absent series as recorded, keeping its family's present
+    /// list sorted by key.
+    fn make_present(&mut self, id: SeriesId) {
+        let keys = &self.keys;
+        let present = &mut self.present[self.families[id.index()] as usize];
+        let at = present.partition_point(|p| keys[p.index()] < keys[id.index()]);
+        present.insert(at, id);
+    }
+
+    /// Adds `v` (≥ 0) to a counter handle, creating it at zero.
+    pub(crate) fn add(&mut self, id: SeriesId, v: f64) {
+        debug_assert!(v >= 0.0, "counters only grow: += {v}");
+        debug_assert_eq!(self.families[id.index()], Family::Counter);
+        let slot = &mut self.slots[id.index()];
+        if let Slot::Value(x) = slot {
+            *x += v;
+            return;
+        }
+        *slot = Slot::Value(v);
+        self.make_present(id);
+    }
+
+    /// Sets a counter or gauge handle to an absolute value.
+    pub(crate) fn set(&mut self, id: SeriesId, v: f64) {
+        debug_assert_ne!(self.families[id.index()], Family::Histogram);
+        let slot = &mut self.slots[id.index()];
+        if let Slot::Value(x) = slot {
+            *x = v;
+            return;
+        }
+        *slot = Slot::Value(v);
+        self.make_present(id);
+    }
+
+    /// Records one observation (in milliseconds of sim time) into a
+    /// histogram handle with the default latency buckets.
+    pub(crate) fn observe(&mut self, id: SeriesId, ms: f64) {
+        debug_assert_eq!(self.families[id.index()], Family::Histogram);
+        let slot = &mut self.slots[id.index()];
+        if let Slot::Hist(h) = slot {
+            h.observe(ms);
+            return;
+        }
+        let mut h = SimHistogram::latency_ms();
+        h.observe(ms);
+        *slot = Slot::Hist(h);
+        self.make_present(id);
+    }
+
     /// Adds `v` (≥ 0) to a monotone counter, creating it at zero.
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        debug_assert!(v >= 0.0, "counters only grow: {name} += {v}");
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.counters.get_mut(&self.scratch) {
-            Some(slot) => *slot += v,
-            None => {
-                self.counters.insert(self.scratch.clone(), v);
-            }
-        }
+        let id = self.counter(name, labels);
+        self.add(id, v);
     }
 
     /// Sets a counter to an absolute value — for sources that maintain
     /// their own monotone count (pool statistics, storage statistics).
     pub fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.counters.get_mut(&self.scratch) {
-            Some(slot) => *slot = v,
-            None => {
-                self.counters.insert(self.scratch.clone(), v);
-            }
-        }
+        let id = self.counter(name, labels);
+        self.set(id, v);
     }
 
     /// Sets a gauge to its current value.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.gauges.get_mut(&self.scratch) {
-            Some(slot) => *slot = v,
-            None => {
-                self.gauges.insert(self.scratch.clone(), v);
-            }
-        }
+        let id = self.gauge(name, labels);
+        self.set(id, v);
     }
 
     /// Records one observation (in milliseconds of sim time) into a
     /// histogram with the default latency buckets.
     pub fn observe_ms(&mut self, name: &str, labels: &[(&str, &str)], ms: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.histograms.get_mut(&self.scratch) {
-            Some(h) => h.observe(ms),
-            None => {
-                let mut h = SimHistogram::latency_ms();
-                h.observe(ms);
-                self.histograms.insert(self.scratch.clone(), h);
-            }
+        let id = self.histogram(name, labels);
+        self.observe(id, ms);
+    }
+
+    /// The key of an interned series.
+    pub(crate) fn key(&self, id: SeriesId) -> &SeriesKey {
+        &self.keys[id.index()]
+    }
+
+    /// The id → key table of every interned series.
+    pub(crate) fn keys(&self) -> &[SeriesKey] {
+        &self.keys
+    }
+
+    fn scalar(&self, id: SeriesId) -> f64 {
+        match self.slots[id.index()] {
+            Slot::Value(v) => v,
+            _ => 0.0,
         }
+    }
+
+    /// Recorded counters as `(id, value)`, in key order.
+    pub(crate) fn counter_ids(&self) -> impl Iterator<Item = (SeriesId, f64)> + '_ {
+        self.present[Family::Counter as usize]
+            .iter()
+            .map(|&id| (id, self.scalar(id)))
+    }
+
+    /// Recorded gauges as `(id, value)`, in key order.
+    pub(crate) fn gauge_ids(&self) -> impl Iterator<Item = (SeriesId, f64)> + '_ {
+        self.present[Family::Gauge as usize]
+            .iter()
+            .map(|&id| (id, self.scalar(id)))
     }
 
     /// Counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
+        self.counter_ids().map(|(id, v)| (self.key(id), v))
     }
 
     /// Gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
+        self.gauge_ids().map(|(id, v)| (self.key(id), v))
     }
 
     /// Histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&SeriesKey, &SimHistogram)> {
-        self.histograms.iter()
+        self.present[Family::Histogram as usize]
+            .iter()
+            .filter_map(|&id| match &self.slots[id.index()] {
+                Slot::Hist(h) => Some((self.key(id), h)),
+                _ => None,
+            })
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.present.iter().all(Vec::is_empty)
     }
 
-    /// Consumes the registry into its sorted family vectors.
+    /// Takes the recorded values as sorted family vectors and resets every
+    /// series to absent. Interned ids stay valid, so cached handles keep
+    /// recording into the next collection period.
     #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
+    pub(crate) fn drain_parts(
+        &mut self,
     ) -> (
         Vec<(SeriesKey, f64)>,
         Vec<(SeriesKey, f64)>,
         Vec<(SeriesKey, SimHistogram)>,
     ) {
-        (
-            self.counters.into_iter().collect(),
-            self.gauges.into_iter().collect(),
-            self.histograms.into_iter().collect(),
-        )
+        let counters = self.counters().map(|(k, v)| (k.clone(), v)).collect();
+        let gauges = self.gauges().map(|(k, v)| (k.clone(), v)).collect();
+        let mut histograms = Vec::with_capacity(self.present[Family::Histogram as usize].len());
+        for present in &mut self.present {
+            for id in present.drain(..) {
+                match std::mem::replace(&mut self.slots[id.index()], Slot::Absent) {
+                    Slot::Hist(h) => histograms.push((self.keys[id.index()].clone(), h)),
+                    Slot::Value(_) | Slot::Absent => {}
+                }
+            }
+        }
+        (counters, gauges, histograms)
     }
 }
 

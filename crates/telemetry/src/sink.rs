@@ -1,6 +1,8 @@
 //! Collection and canonical merging of per-platform metric chunks — the
 //! same determinism contract as `TraceSink` and `ResultStore`.
 
+use sebs_sim::SimTime;
+
 use crate::histogram::SimHistogram;
 use crate::hub::MetricPoint;
 use crate::registry::SeriesKey;
@@ -20,7 +22,12 @@ pub struct MetricsChunk {
     pub gauges: Vec<(SeriesKey, f64)>,
     /// Final histograms, in key order.
     pub histograms: Vec<(SeriesKey, SimHistogram)>,
-    /// Sampled time series, in (tick, key) order.
+    /// The id → key table of the hub's interned series; a point's
+    /// `series` indexes it. Carried once per chunk, not once per point.
+    pub series: Vec<SeriesKey>,
+    /// The sample instants, in sampling order; a point's `tick` indexes it.
+    pub instants: Vec<SimTime>,
+    /// Sampled time series, in (tick, counters by key, gauges by key) order.
     pub points: Vec<MetricPoint>,
 }
 
@@ -31,6 +38,16 @@ impl MetricsChunk {
     /// suites drop such chunks so unused providers stay out of exports.
     pub fn is_idle(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty() && self.points.is_empty()
+    }
+
+    /// The key of a sampled point's series.
+    pub fn series_key(&self, point: &MetricPoint) -> &SeriesKey {
+        &self.series[point.series.index()]
+    }
+
+    /// The sim-time instant a point was sampled at.
+    pub fn instant(&self, point: &MetricPoint) -> SimTime {
+        self.instants[point.tick as usize]
     }
 }
 
@@ -111,6 +128,8 @@ mod tests {
             counters: vec![(SeriesKey::new("c", &[]), 1.0)],
             gauges: Vec::new(),
             histograms: Vec::new(),
+            series: Vec::new(),
+            instants: Vec::new(),
             points: Vec::new(),
         }
     }

@@ -93,10 +93,10 @@ fn warm_pool_series_recovers_the_eviction_half_life() {
         .points
         .iter()
         .filter(|p| {
-            p.series.name == "sebs_containers_warm"
-                && p.series.labels == [("pool".to_string(), "fn:0".to_string())]
+            chunk.series_key(p).name == "sebs_containers_warm"
+                && chunk.series_key(p).labels == [("pool".to_string(), "fn:0".to_string())]
         })
-        .map(|p| (p.at.as_secs_f64(), p.value))
+        .map(|p| (chunk.instant(p).as_secs_f64(), p.value))
         .collect();
     assert!(occupancy.len() >= 1500, "one sample per sim-second");
 

@@ -15,6 +15,9 @@ use crate::function::FunctionId;
 use crate::invocation::{InvocationOutcome, InvocationRecord, StartKind};
 use crate::pool::ContainerPool;
 
+/// Pool key → index in the platform's pool `Vec`, iterated in key order.
+pub(crate) type PoolKeys = BTreeMap<String, usize>;
+
 /// Distinct `outcome` label values of [`InvocationOutcome`].
 const OUTCOMES: usize = 7;
 
@@ -65,6 +68,7 @@ impl FnSeries {
 /// Handles of one container pool's observed series.
 #[derive(Debug)]
 struct PoolSeries {
+    pool: usize,
     warm: SeriesId,
     idle: SeriesId,
     active: SeriesId,
@@ -74,9 +78,10 @@ struct PoolSeries {
 }
 
 impl PoolSeries {
-    fn resolve(hub: &mut MetricsHub, key: &str) -> PoolSeries {
+    fn resolve(hub: &mut MetricsHub, key: &str, index: usize) -> PoolSeries {
         let pool = [("pool", key)];
         PoolSeries {
+            pool: index,
             warm: hub.gauge("sebs_containers_warm", &pool),
             idle: hub.gauge("sebs_containers_idle", &pool),
             active: hub.gauge("sebs_containers_active", &pool),
@@ -93,7 +98,7 @@ pub(crate) struct PlatformMetrics {
     pub(crate) hub: MetricsHub,
     /// By function id; `None` until the function's first record.
     functions: Vec<Option<FnSeries>>,
-    /// Parallel to the platform's pool map, in its key order. Pools are
+    /// One per pool, in pool-key order (`fn:10` before `fn:2`). Pools are
     /// only ever added, so a length mismatch is the one staleness signal.
     pools: Vec<PoolSeries>,
 }
@@ -163,15 +168,16 @@ impl PlatformMetrics {
 
     /// Re-reads every pool's occupancy and statistics as of instant `t`.
     /// Pure observation: pools are not advanced and no RNG is drawn.
-    pub(crate) fn refresh_pools(&mut self, pools: &BTreeMap<String, ContainerPool>, t: SimTime) {
-        if self.pools.len() != pools.len() {
+    pub(crate) fn refresh_pools(&mut self, keys: &PoolKeys, pools: &[ContainerPool], t: SimTime) {
+        if self.pools.len() != keys.len() {
             let hub = &mut self.hub;
-            self.pools = pools
-                .keys()
-                .map(|key| PoolSeries::resolve(hub, key))
+            self.pools = keys
+                .iter()
+                .map(|(key, &i)| PoolSeries::resolve(hub, key, i))
                 .collect();
         }
-        for (pool, h) in pools.values().zip(&self.pools) {
+        for h in &self.pools {
+            let pool = &pools[h.pool];
             let obs = pool.observe(t);
             self.hub.set(h.warm, obs.warm as f64);
             self.hub.set(h.idle, obs.idle as f64);

@@ -2,7 +2,6 @@
 //! execution, failures and billing in one place.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sebs_cloud::DriftingClock;
@@ -16,11 +15,12 @@ use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpa
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
+use crate::container::ContainerId;
 use crate::function::{FunctionConfig, FunctionId};
 use crate::invocation::{
     AttemptChain, FunctionErrorKind, InvocationOutcome, InvocationRecord, StartKind,
 };
-use crate::observe::PlatformMetrics;
+use crate::observe::{PlatformMetrics, PoolKeys};
 use crate::pool::{ContainerPool, PoolObservation};
 use crate::provider::ProviderProfile;
 use crate::trigger::TriggerKind;
@@ -60,7 +60,7 @@ impl std::error::Error for DeployError {}
 struct Deployed {
     config: FunctionConfig,
     effective_memory_mb: u32,
-    pool_key: String,
+    pool: usize,
 }
 
 /// The `PlatformLimits` scalars `invoke_one` reads, copied up front so the
@@ -133,9 +133,12 @@ pub struct FaasPlatform {
     profile: ProviderProfile,
     // Deployments are shared, not cloned, per invocation: `invoke_one`
     // holds an `Rc` while it mutates pools and RNG streams, so the hot
-    // path never copies a `FunctionConfig` or pool-key string.
+    // path never copies a `FunctionConfig`.
     functions: Vec<Rc<Deployed>>,
-    pools: BTreeMap<String, ContainerPool>,
+    // Dense pools, indexed by `Deployed::pool`. The string keys live only
+    // in `pool_keys`, read at deploy time and, in key order, for export.
+    pools: Vec<ContainerPool>,
+    pool_keys: PoolKeys,
     storage: SimObjectStore,
     now: SimTime,
     server_clock: DriftingClock,
@@ -211,7 +214,8 @@ impl FaasPlatform {
         FaasPlatform {
             profile,
             functions: Vec::new(),
-            pools: BTreeMap::new(),
+            pools: Vec::new(),
+            pool_keys: PoolKeys::new(),
             storage: SimObjectStore::default_model(),
             now: SimTime::ZERO,
             server_clock: DriftingClock::new(offset, skew),
@@ -435,7 +439,7 @@ impl FaasPlatform {
         let Some(m) = self.metrics.as_mut() else {
             return;
         };
-        m.refresh_pools(&self.pools, t);
+        m.refresh_pools(&self.pool_keys, &self.pools, t);
         let hub = &mut m.hub;
         // Counter snapshots at zero stay absent (Prometheus convention:
         // a counter series appears on first increment) — otherwise an
@@ -547,13 +551,15 @@ impl FaasPlatform {
             (Some(app), true) => format!("app:{app}"),
             _ => format!("fn:{}", id.0),
         };
-        self.pools
-            .entry(pool_key.clone())
-            .or_insert_with(|| ContainerPool::new(self.profile.eviction.clone()));
+        let pool = *self.pool_keys.entry(pool_key).or_insert(self.pools.len());
+        if pool == self.pools.len() {
+            self.pools
+                .push(ContainerPool::new(self.profile.eviction.clone()));
+        }
         self.functions.push(Rc::new(Deployed {
             config,
             effective_memory_mb: effective,
-            pool_key,
+            pool,
         }));
         Ok(id)
     }
@@ -570,17 +576,14 @@ impl FaasPlatform {
     /// start (SeBS updates the function configuration on AWS / publishes a
     /// new version on Azure and GCP to achieve this).
     pub fn enforce_cold_start(&mut self, id: FunctionId) {
-        let key = self.functions[id.0 as usize].pool_key.clone();
-        if let Some(pool) = self.pools.get_mut(&key) {
-            pool.evict_all();
-        }
+        self.pools[self.functions[id.0 as usize].pool].evict_all();
     }
 
     /// Kills all warm containers of **every** function — the cluster's
     /// host-crash switch: a dead machine loses its entire warm pool at
     /// once. RNG-free, like [`FaasPlatform::enforce_cold_start`].
     pub fn evict_all_containers(&mut self) {
-        for pool in self.pools.values_mut() {
+        for pool in &mut self.pools {
             pool.evict_all();
         }
     }
@@ -590,10 +593,7 @@ impl FaasPlatform {
     /// idle containers survive. Existing containers keep their state; the
     /// new policy applies from the next pool advance.
     pub fn set_pool_policy(&mut self, id: FunctionId, policy: crate::eviction::EvictionPolicy) {
-        let key = self.functions[id.0 as usize].pool_key.clone();
-        if let Some(pool) = self.pools.get_mut(&key) {
-            pool.set_policy(policy);
-        }
+        self.pools[self.functions[id.0 as usize].pool].set_policy(policy);
     }
 
     /// Sets the co-location contention multiplier: the extra slowdown a
@@ -613,12 +613,8 @@ impl FaasPlatform {
     /// warm pool is left untouched rather than touched, so prewarming an
     /// already-warm function does not refresh its idle clock).
     pub fn prewarm(&mut self, id: FunctionId) -> bool {
-        let deployed = Rc::clone(&self.functions[id.0 as usize]);
         let now = self.now;
-        let pool = match self.pools.get_mut(&deployed.pool_key) {
-            Some(pool) => pool,
-            None => return false,
-        };
+        let pool = &mut self.pools[self.functions[id.0 as usize].pool];
         pool.advance(now, &mut self.rng_pool);
         if pool.idle_count() > 0 {
             return false;
@@ -632,12 +628,8 @@ impl FaasPlatform {
     /// applying evictions at the current time) — the probe of the
     /// Eviction-Model experiment.
     pub fn warm_containers(&mut self, id: FunctionId) -> usize {
-        let key = self.functions[id.0 as usize].pool_key.clone();
         let now = self.now;
-        match self.pools.get_mut(&key) {
-            Some(pool) => pool.warm_count(now, &mut self.rng_pool),
-            None => 0,
-        }
+        self.pools[self.functions[id.0 as usize].pool].warm_count(now, &mut self.rng_pool)
     }
 
     /// Read-only snapshot of a function's container pool at the current
@@ -646,11 +638,7 @@ impl FaasPlatform {
     /// mutates nothing, so fleet experiments can sample occupancy
     /// without perturbing the eviction schedule.
     pub fn observe_pool(&self, id: FunctionId) -> PoolObservation {
-        let key = &self.functions[id.0 as usize].pool_key;
-        match self.pools.get(key) {
-            Some(pool) => pool.observe(self.now),
-            None => PoolObservation::default(),
-        }
+        self.pools[self.functions[id.0 as usize].pool].observe(self.now)
     }
 
     /// Number of deployed functions.
@@ -658,17 +646,19 @@ impl FaasPlatform {
         self.functions.len()
     }
 
-    /// Invokes a function once (a burst of one).
+    /// Invokes a function once: a burst of one, without its allocations.
     pub fn invoke(
         &mut self,
         id: FunctionId,
         workload: &dyn Workload,
         payload: &Payload,
     ) -> InvocationRecord {
-        self.invoke_burst(id, workload, std::slice::from_ref(payload))
-            .pop()
-            // audit:allow(panic-hygiene): the burst loop pushes one record per requested invocation
-            .expect("burst of one yields one record")
+        let trigger = self.profile.trigger.resolve(TriggerKind::Http);
+        let (record, release) = self.invoke_one(id, workload, payload, 0, 1, trigger);
+        if let Some((pool, cid, at)) = release {
+            self.pools[pool].release(cid, at);
+        }
+        record
     }
 
     /// Invokes a function once under the installed [`RetryPolicy`],
@@ -887,23 +877,20 @@ impl FaasPlatform {
         let trigger = self.profile.trigger.resolve(trigger);
         let n = payloads.len() as u32;
         let mut records = Vec::with_capacity(payloads.len());
-        let mut releases: Vec<(Rc<Deployed>, crate::container::ContainerId, SimTime)> = Vec::new();
+        // Released after the burst: no request reuses another's sandbox.
+        let mut releases = Vec::with_capacity(payloads.len());
         for (i, payload) in payloads.iter().enumerate() {
-            let record =
-                self.invoke_one(id, workload, payload, i as u32, n, trigger, &mut releases);
+            let (record, release) = self.invoke_one(id, workload, payload, i as u32, n, trigger);
             records.push(record);
+            releases.extend(release);
         }
-        for (deployed, cid, at) in releases {
-            self.pools
-                .get_mut(&deployed.pool_key)
-                // audit:allow(panic-hygiene): deploy() inserts the pool before any invocation can reference it
-                .expect("pool exists for deployed function")
-                .release(cid, at);
+        for (pool, cid, at) in releases {
+            self.pools[pool].release(cid, at);
         }
         records
     }
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_lines)]
     fn invoke_one(
         &mut self,
         id: FunctionId,
@@ -912,8 +899,7 @@ impl FaasPlatform {
         index: u32,
         concurrency: u32,
         trigger: TriggerKind,
-        releases: &mut Vec<(Rc<Deployed>, crate::container::ContainerId, SimTime)>,
-    ) -> InvocationRecord {
+    ) -> (InvocationRecord, Option<(usize, ContainerId, SimTime)>) {
         // Share the deployment record and copy the scalar limits/quirks the
         // hot path reads, instead of deep-cloning config strings and
         // distribution tables on every invocation.
@@ -966,7 +952,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + rtt).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(id, &deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 2. Concurrency limit.
@@ -976,7 +962,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(id, &deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 3. Injected outage windows, then availability under heavy
@@ -998,7 +984,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(id, &deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 4. Sandbox acquisition. Cold-start storms raise the spurious-cold
@@ -1010,11 +996,7 @@ impl FaasPlatform {
             .faults
             .as_ref()
             .map_or(0.0, |f| f.storm_boost(self.now));
-        let pool = self
-            .pools
-            .get_mut(&deployed.pool_key)
-            // audit:allow(panic-hygiene): deploy() inserts the pool before any invocation can reference it
-            .expect("pool exists for deployed function");
+        let pool = &mut self.pools[deployed.pool];
         let acquired = pool.acquire(
             self.now,
             &mut self.rng_pool,
@@ -1237,8 +1219,8 @@ impl FaasPlatform {
 
         self.record_invocation_metrics(id, &deployed.config.name, &record, spurious);
 
-        releases.push((deployed, acquired.id(), self.now + record.provider_time));
-        record
+        let released_at = self.now + record.provider_time;
+        (record, Some((deployed.pool, acquired.id(), released_at)))
     }
 
     /// Lays out the full span tree of a completed invocation. Every child
@@ -1770,10 +1752,19 @@ mod tests {
         let f2 = p
             .deploy(FunctionConfig::new("f2", Language::Python, 512).in_app("shared-app"))
             .unwrap();
+        assert_eq!(
+            p.functions[0].pool, p.functions[1].pool,
+            "one app, one pool"
+        );
         let payload = p.prepare(&wl, Scale::Test);
         let r1 = p.invoke(f1, &wl, &payload);
         assert_eq!(r1.start, StartKind::Cold);
         p.advance(SimDuration::from_secs(1));
+        assert_eq!(
+            p.observe_pool(f2).warm,
+            1,
+            "f2 sees the container f1 warmed"
+        );
         // f2 rides f1's warm instance (less frequent cold starts, §3.3) —
         // modulo Azure's small spurious-cold probability.
         let mut warm_seen = false;

@@ -80,17 +80,19 @@ impl ContainerPool {
     /// after simulated time has passed.
     pub fn advance(&mut self, now: SimTime, rng: &mut StreamRng) {
         let all = std::mem::take(&mut self.containers);
-        // Busy containers are never evicted mid-flight.
-        let (busy, idle): (Vec<_>, Vec<_>) = all
-            .into_iter()
-            .partition(|c| c.state == ContainerState::Busy);
-        self.containers = busy;
-        let busy_count = self.containers.len();
-        let idle_before = idle.len();
-        self.containers
-            .extend(self.policy.survivors(idle, now, rng));
-        let idle_after = self.containers.len() - busy_count;
-        self.evictions += (idle_before - idle_after) as u64;
+        let before = all.len();
+        // Busy containers are never evicted mid-flight and go first; with none
+        // in flight (the common case) the idle ones are filtered in place.
+        self.containers = if all.iter().any(|c| c.state == ContainerState::Busy) {
+            let (mut busy, idle): (Vec<_>, Vec<_>) = all
+                .into_iter()
+                .partition(|c| c.state == ContainerState::Busy);
+            busy.extend(self.policy.survivors(idle, now, rng));
+            busy
+        } else {
+            self.policy.survivors(all, now, rng)
+        };
+        self.evictions += (before - self.containers.len()) as u64;
         if self.containers.is_empty() {
             // A fully drained pool restarts its slot sequence, matching the
             // paper's per-batch D_init semantics.

@@ -8,6 +8,7 @@
 //! that exposes I/O-bound applications in Table 4 — falls out of the
 //! counters: the platform computes it as `cpu_time / (cpu_time + io_time)`.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use sebs_sim::bytes::Bytes;
@@ -111,13 +112,14 @@ pub struct Response {
     /// Response body returned to the client (eats into egress pricing —
     /// paper §6.3 Q4: graph-bfs returns ≈78 kB, thumbnailer ≈3 kB).
     pub body: Bytes,
-    /// Human-readable result summary for logs.
-    pub summary: String,
+    /// Human-readable result summary for logs. Borrowed when the summary
+    /// is a fixed string, so such a response allocates nothing for it.
+    pub summary: Cow<'static, str>,
 }
 
 impl Response {
     /// Builds a response from raw bytes and a summary line.
-    pub fn new(body: impl Into<Bytes>, summary: impl Into<String>) -> Self {
+    pub fn new(body: impl Into<Bytes>, summary: impl Into<Cow<'static, str>>) -> Self {
         Response {
             body: body.into(),
             summary: summary.into(),

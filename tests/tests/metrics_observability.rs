@@ -6,9 +6,10 @@
 
 use sebs::experiments::run_perf_cost_grid;
 use sebs::{ExperimentGrid, ParallelRunner, Suite, SuiteConfig};
-use sebs_platform::{FaasPlatform, ProviderKind, ProviderProfile};
+use sebs_platform::{FaasPlatform, FunctionConfig, FunctionId, ProviderKind, ProviderProfile};
 use sebs_sim::SimDuration;
-use sebs_telemetry::{csv_timeseries, prometheus_text, MetricsChunk};
+use sebs_telemetry::{csv_timeseries, prometheus_text, MetricsChunk, MetricsSink};
+use sebs_workloads::templating::DynamicHtml;
 use sebs_workloads::{Language, Scale};
 
 const SEED: u64 = 2024;
@@ -160,6 +161,68 @@ fn monitoring_fidelity_gauges_mirror_the_paper_table() {
             gauge(&chunk, "sebs_concurrency_limit"),
             ProviderProfile::for_kind(kind).limits.concurrency as f64,
             "{kind:?}"
+        );
+    }
+}
+
+#[test]
+fn pool_series_export_in_key_order() {
+    // The platform stores pools by index, in deploy order; the exported
+    // `pool` series must still follow the pool-key order (`fn:10` sorts
+    // before `fn:2`), each with its own pool's value.
+    let mut p = FaasPlatform::new(ProviderProfile::aws(), SEED);
+    p.enable_metrics(SimDuration::from_secs(1));
+    let wl = DynamicHtml::new(Language::Python);
+    let fns: Vec<FunctionId> = (0..12)
+        .map(|i| {
+            p.deploy(FunctionConfig::new(&format!("f{i}"), Language::Python, 256))
+                .unwrap()
+        })
+        .collect();
+    let payload = p.prepare(&wl, Scale::Test);
+    // Function i warms a distinct number of containers, so a series
+    // attached to the wrong pool shows in its value.
+    let warm_of = |i: usize| i % 4 + 1;
+    for (i, &f) in fns.iter().enumerate() {
+        p.invoke_burst(f, &wl, &vec![payload.clone(); warm_of(i)]);
+    }
+    p.advance(SimDuration::from_secs(2));
+    let chunk = p.take_metrics().expect("metrics enabled");
+
+    let mut keys: Vec<String> = (0..12).map(|i| format!("fn:{i}")).collect();
+    keys.sort();
+    assert_eq!(keys[..4], ["fn:0", "fn:1", "fn:10", "fn:11"]);
+    let warm: Vec<(String, f64)> = chunk
+        .gauges
+        .iter()
+        .filter(|(k, _)| k.name == "sebs_containers_warm")
+        .map(|(k, v)| (k.labels[0].1.clone(), *v))
+        .collect();
+    let expected: Vec<(String, f64)> = keys
+        .iter()
+        .map(|k| {
+            let i: usize = k["fn:".len()..].parse().unwrap();
+            (k.clone(), warm_of(i) as f64)
+        })
+        .collect();
+    assert_eq!(warm, expected);
+
+    let mut sink = MetricsSink::new();
+    sink.push(chunk);
+    for text in [prometheus_text(&sink), csv_timeseries(&sink)] {
+        let at: Vec<usize> = keys
+            .iter()
+            .map(|k| {
+                let prom = format!("sebs_containers_warm{{pool=\"{k}\",");
+                let csv = format!("sebs_containers_warm,pool={k},");
+                text.find(&prom)
+                    .or_else(|| text.find(&csv))
+                    .unwrap_or_else(|| panic!("no warm row for {k}"))
+            })
+            .collect();
+        assert!(
+            at.windows(2).all(|w| w[0] < w[1]),
+            "pool rows out of key order"
         );
     }
 }

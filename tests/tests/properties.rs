@@ -7,9 +7,10 @@
 
 use sebs::{Suite, SuiteConfig};
 use sebs_platform::billing::BillingModel;
-use sebs_platform::{ProviderKind, ProviderProfile};
+use sebs_platform::{FaasPlatform, FunctionConfig, FunctionId, ProviderKind, ProviderProfile};
 use sebs_sim::rng::{Rng, SimRng};
 use sebs_sim::SimDuration;
+use sebs_workloads::templating::DynamicHtml;
 use sebs_workloads::{Language, Scale};
 
 const CASES: u64 = 12;
@@ -167,5 +168,56 @@ fn costs_and_times_are_finite() {
             r.client_time < SimDuration::from_secs(3600),
             "failing case seed {case}"
         );
+    }
+}
+
+/// `invoke` applies its container release directly instead of going
+/// through `invoke_burst`; the two entry points must stay interchangeable
+/// on every provider: same record, same pool state, and the same RNG
+/// streams for every invocation after.
+#[test]
+fn single_invoke_matches_a_burst_of_one() {
+    for profile in ProviderProfile::all() {
+        let build = || {
+            let mut p = FaasPlatform::new(profile.clone(), 77);
+            let wl = DynamicHtml::new(Language::Python);
+            // Three functions of one app (a shared pool on Azure) and one
+            // on its own.
+            let fns: Vec<FunctionId> = [("a", 256, true), ("b", 1024, true), ("c", 512, true)]
+                .into_iter()
+                .chain([("d", 512, false)])
+                .map(|(name, mem, in_app)| {
+                    let config = FunctionConfig::new(name, Language::Python, mem);
+                    let config = if in_app { config.in_app("app") } else { config };
+                    p.deploy(config).unwrap()
+                })
+                .collect();
+            let payload = p.prepare(&wl, Scale::Test);
+            (p, wl, fns, payload)
+        };
+        let (mut single, wl, fns, payload) = build();
+        let (mut burst, ..) = build();
+        let mut gaps = SimRng::new(3).stream("gaps");
+        for step in 0..300 {
+            let fid = fns[step % fns.len()];
+            let a = single.invoke(fid, &wl, &payload);
+            let b = burst.invoke_burst(fid, &wl, std::slice::from_ref(&payload));
+            assert_eq!(b.len(), 1);
+            assert_eq!(a, b[0], "{} step {step}", profile.kind);
+            for &f in &fns {
+                assert_eq!(single.observe_pool(f), burst.observe_pool(f));
+            }
+            // Mostly overlapping or short gaps, now and then one long
+            // enough for the eviction policy to act.
+            let gap = match gaps.gen_range(0..10) {
+                0 => SimDuration::from_secs(gaps.gen_range(300..1200)),
+                _ => SimDuration::from_millis(gaps.gen_range(0..3000)),
+            };
+            single.advance(gap);
+            burst.advance(gap);
+        }
+        for &f in &fns {
+            assert_eq!(single.warm_containers(f), burst.warm_containers(f));
+        }
     }
 }

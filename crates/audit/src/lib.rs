@@ -60,30 +60,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     collect_files(root, root, &mut files)?;
     files.sort();
-
-    // Pass 1: crate idents from manifest package names (hyphens become
-    // underscores, matching what `use` paths spell).
-    let mut crate_dirs: Vec<(String, String)> = Vec::new(); // (dir prefix, ident)
-    for rel in &files {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if !rel_str.ends_with("Cargo.toml") {
-            continue;
-        }
-        let source = fs::read_to_string(root.join(rel))?;
-        let doc = toml::TomlDoc::parse(&source);
-        for section in doc.sections_where(|n| n == "package") {
-            for entry in &section.entries {
-                if entry.key == "name" {
-                    if let toml::TomlValue::Str(name) = &entry.value {
-                        let dir = rel_str.trim_end_matches("Cargo.toml").to_string();
-                        crate_dirs.push((dir, name.replace('-', "_")));
-                    }
-                }
-            }
-        }
-    }
-    // Longest prefix first, so nested packages win over the workspace root.
-    crate_dirs.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+    let crate_dirs = crate_dirs(root, &files)?;
 
     // Pass 2: lexical rules + parsing for the graph.
     let mut findings = Vec::new();
@@ -93,7 +70,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
     let mut lines_scanned = 0usize;
     for rel in &files {
         let source = fs::read_to_string(root.join(rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        let rel_str = rel_path(rel);
         if rel_str.ends_with("Cargo.toml") {
             findings.extend(rules::audit_manifest(&rel_str, &source));
             continue;
@@ -102,16 +79,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
         let (f, a) = rules::audit_rust_source(&rel_str, &source);
         findings.extend(f);
         allows.extend(a);
-
-        let parsed = parse::parse_file(token::tokenize(&source));
-        let scope = rules::FileScope::classify(&rel_str);
-        parsed_files.push(SourceFile {
-            path: rel_str.clone(),
-            crate_ident: crate_ident_for(&rel_str, &crate_dirs),
-            file_module: graph::file_module_path(module_tail(&rel_str)),
-            is_external: !scope.library,
-            parsed,
-        });
+        parsed_files.push(source_file(&rel_str, &source, &crate_dirs));
         sources.insert(rel_str, source.lines().map(str::to_string).collect());
     }
 
@@ -168,6 +136,70 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
         .stale_allows
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)
+}
+
+/// The workspace symbol graph the flow rules run on, without running any
+/// rule. Lets callers check what an entry-point spec resolves to.
+///
+/// # Errors
+///
+/// Returns any I/O error encountered while walking or reading files.
+pub fn workspace_graph(root: &Path) -> io::Result<SymbolGraph> {
+    let mut files = Vec::new();
+    collect_files(root, root, &mut files)?;
+    files.sort();
+    let crate_dirs = crate_dirs(root, &files)?;
+    let mut parsed_files = Vec::new();
+    for rel in &files {
+        let rel_str = rel_path(rel);
+        if !rel_str.ends_with("Cargo.toml") {
+            let source = fs::read_to_string(root.join(rel))?;
+            parsed_files.push(source_file(&rel_str, &source, &crate_dirs));
+        }
+    }
+    Ok(SymbolGraph::build(parsed_files))
+}
+
+fn rel_path(rel: &Path) -> String {
+    rel.to_string_lossy().replace('\\', "/")
+}
+
+/// `(dir prefix, crate ident)` pairs from manifest package names
+/// (hyphens become underscores, matching what `use` paths spell), longest
+/// prefix first so nested packages win over the workspace root.
+fn crate_dirs(root: &Path, files: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
+    let mut crate_dirs: Vec<(String, String)> = Vec::new();
+    for rel in files {
+        let rel_str = rel_path(rel);
+        if !rel_str.ends_with("Cargo.toml") {
+            continue;
+        }
+        let source = fs::read_to_string(root.join(rel))?;
+        let doc = toml::TomlDoc::parse(&source);
+        for section in doc.sections_where(|n| n == "package") {
+            for entry in &section.entries {
+                if entry.key == "name" {
+                    if let toml::TomlValue::Str(name) = &entry.value {
+                        let dir = rel_str.trim_end_matches("Cargo.toml").to_string();
+                        crate_dirs.push((dir, name.replace('-', "_")));
+                    }
+                }
+            }
+        }
+    }
+    crate_dirs.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+    Ok(crate_dirs)
+}
+
+/// Parses one Rust source into a graph input.
+fn source_file(rel_str: &str, source: &str, crate_dirs: &[(String, String)]) -> SourceFile {
+    SourceFile {
+        path: rel_str.to_string(),
+        crate_ident: crate_ident_for(rel_str, crate_dirs),
+        file_module: graph::file_module_path(module_tail(rel_str)),
+        is_external: !rules::FileScope::classify(rel_str).library,
+        parsed: parse::parse_file(token::tokenize(source)),
+    }
 }
 
 /// The crate ident owning `path`: longest matching manifest dir, with the

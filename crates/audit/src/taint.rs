@@ -4,12 +4,13 @@
 //! families reason about *reachability*:
 //!
 //! * **determinism-taint** — any function transitively reachable from a
-//!   deterministic-core entry point (`Engine::run`, `invoke_one`, the
-//!   exporters) that names a wall-clock, ambient-randomness or
+//!   deterministic-core entry point (the `run_fleet` and `run_cluster`
+//!   replays, the single-box and cluster attempt chains, `invoke_one`,
+//!   the exporters) that names a wall-clock, ambient-randomness or
 //!   hash-iteration site — in *any* crate — is flagged, with the full call
 //!   chain in the finding. This catches the laundering the line scanner
 //!   cannot: a `SystemTime::now()` hidden behind a helper in a non-core
-//!   crate that the engine calls.
+//!   crate that a replay calls.
 //! * **rng-stream-discipline** — every literal `SimRng::child` salt must be
 //!   distinct within a function (duplicate salts collapse two supposedly
 //!   independent streams into one), and `&mut SimRng` must not cross an
@@ -18,9 +19,8 @@
 //! * **float-total-order** — `partial_cmp` on floats is order-unstable the
 //!   moment a NaN appears; deterministic comparisons use `f64::total_cmp`.
 //! * **hot-path-allocation** — `format!` / `.to_string()` / `Vec::new` /
-//!   `Box::new` inside the engine-dispatch and `invoke_one` call chains;
-//!   feeds the engine raw-speed campaign by keeping per-event allocations
-//!   visible.
+//!   `Box::new` inside the `invoke_one` call chain, the per-invocation
+//!   path every replay runs; keeps per-invocation allocations visible.
 //!
 //! The taint domain deliberately excludes the sanctioned escape hatches:
 //! the cloud clock shim, the seeded fault injector, and the bench harness
@@ -35,7 +35,10 @@ use std::collections::BTreeMap;
 /// Entry points of the deterministic core: `(impl type or "*"/"", fn name)`.
 /// `"*"` matches any context, `""` only free functions.
 pub const TAINT_ENTRY_POINTS: &[(&str, &str)] = &[
-    ("Engine", "run"),
+    ("", "run_fleet"),
+    ("", "run_cluster"),
+    ("ClusterPlatform", "invoke_resilient"),
+    ("FaasPlatform", "invoke_with_policy"),
     ("*", "invoke_one"),
     ("*", "chrome_trace_json"),
     ("*", "breakdown_table"),
@@ -45,7 +48,7 @@ pub const TAINT_ENTRY_POINTS: &[(&str, &str)] = &[
 ];
 
 /// Entry points whose call chains must stay allocation-lean.
-pub const HOT_PATH_ENTRY_POINTS: &[(&str, &str)] = &[("Engine", "run"), ("*", "invoke_one")];
+pub const HOT_PATH_ENTRY_POINTS: &[(&str, &str)] = &[("*", "invoke_one")];
 
 /// File path prefixes the hot-path rule is confined to.
 pub const HOT_PATH_CRATES: &[&str] = &["crates/sim/", "crates/platform/"];
@@ -264,7 +267,7 @@ fn hot_path_allocation(
                 snippet: snippet(sources, &s.file, line),
                 symbol: s.path(),
                 detail: format!(
-                    "{} on the engine hot path: {}",
+                    "{} on the invoke hot path: {}",
                     what,
                     graph.chain(&pred, id)
                 ),
@@ -331,9 +334,9 @@ mod tests {
     fn taint_reports_cross_crate_chain() {
         let (g, src) = graph(&[
             (
-                "crates/sim/src/lib.rs",
-                "sim",
-                "use util::tick;\npub struct Engine;\nimpl Engine { pub fn run(&mut self) { tick(); } }",
+                "crates/core/src/lib.rs",
+                "sebs",
+                "use util::tick;\npub fn run_fleet() { tick(); }",
             ),
             (
                 "crates/util/src/lib.rs",
@@ -347,16 +350,16 @@ mod tests {
             .filter(|f| f.rule == Rule::DeterminismTaint)
             .collect();
         assert_eq!(taint.len(), 1);
-        assert!(taint[0].detail.contains("sim::Engine::run -> util::tick"));
+        assert!(taint[0].detail.contains("sebs::run_fleet -> util::tick"));
         assert_eq!(taint[0].symbol, "util::tick");
     }
 
     #[test]
     fn unreachable_sinks_are_not_tainted() {
         let (g, src) = graph(&[(
-            "crates/sim/src/lib.rs",
-            "sim",
-            "pub struct Engine;\nimpl Engine { pub fn run(&mut self) {} }\nfn orphan() -> u64 { SystemTime::now() }",
+            "crates/core/src/lib.rs",
+            "sebs",
+            "pub fn run_fleet() {}\nfn orphan() -> u64 { SystemTime::now() }",
         )]);
         let f = run_flow_rules(&g, &src);
         assert!(f.iter().all(|f| f.rule != Rule::DeterminismTaint));
@@ -418,9 +421,9 @@ mod tests {
     #[test]
     fn hot_path_allocation_confined_to_engine_chains() {
         let (g, src) = graph(&[(
-            "crates/sim/src/engine.rs",
-            "sim",
-            "pub struct Engine;\nimpl Engine { pub fn run(&mut self) { step(); } }\nfn step() { let v: Vec<u32> = Vec::new(); }\nfn cold() { let w: Vec<u32> = Vec::new(); }",
+            "crates/platform/src/platform.rs",
+            "platform",
+            "pub struct FaasPlatform;\nimpl FaasPlatform { fn invoke_one(&mut self) { step(); } }\nfn step() { let v: Vec<u32> = Vec::new(); }\nfn cold() { let w: Vec<u32> = Vec::new(); }",
         )]);
         let f = run_flow_rules(&g, &src);
         let hot: Vec<&Finding> = f
@@ -428,7 +431,7 @@ mod tests {
             .filter(|f| f.rule == Rule::HotPathAllocation)
             .collect();
         assert_eq!(hot.len(), 1, "{hot:?}");
-        assert!(hot[0].detail.contains("Engine::run"));
+        assert!(hot[0].detail.contains("FaasPlatform::invoke_one"));
         assert!(hot[0].symbol.ends_with("step"));
     }
 }

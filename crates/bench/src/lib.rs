@@ -197,11 +197,11 @@ mod tests {
 
     #[test]
     fn bench_json_carries_extra_metric_fields() {
-        let extra = vec![("events_per_sec".to_string(), 1.5e7)];
-        let body = bench_json("bench_engine_throughput", 2.0, &BenchEnv::default(), &extra);
+        let extra = vec![("points_per_sec".to_string(), 1.5e7)];
+        let body = bench_json("bench_metrics_overhead", 2.0, &BenchEnv::default(), &extra);
         let doc = sebs_metrics::Json::parse(&body).expect("bench JSON parses");
         assert_eq!(
-            doc.get("events_per_sec").and_then(|v| v.as_f64()),
+            doc.get("points_per_sec").and_then(|v| v.as_f64()),
             Some(1.5e7)
         );
     }

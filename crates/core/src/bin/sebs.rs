@@ -36,7 +36,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Options::parse(&args[1..]) {
+    let opts = match Options::parse(&args[1..])
+        .and_then(|o| reject_ignored_flags(command, &o).map(|()| o))
+    {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -93,12 +95,15 @@ USAGE:
                 [--host-fault-rates R1,...]   (host-crash intensities;
                                                default 0,0.15,0.4)
                 [--functions N] [--invocations N] [--horizon-secs S]
-                [--zipf EXP] [--retry SPEC] [--jobs N] [--seed N]
+                [--zipf EXP] [--jobs N] [--seed N]
+                [--retry SPEC]                (failover policy; hedge= and
+                                               breaker= are rejected)
                 [--csv FILE] [--json FILE] [--trace FILE] [--trace-format F]
                 Sweeps scheduler x keep-alive x host-fault intensity on a
                 multi-host region: cold-start rate vs wasted warm GB-s
                 (the SitW Pareto frontier), availability, goodput and
                 cost per extra nine. Byte-identical for any --jobs.
+                Rejects --faults and --metrics.
     sebs fleet  [--provider P] [--functions N] [--invocations N]
                 [--horizon-secs S] [--zipf EXP] [--cells N]
                 [--import FILE]               (replay an external trace CSV —
@@ -111,6 +116,8 @@ USAGE:
                 [--jobs N] [--seed N] [--csv FILE] [--json FILE]
                 [--trace FILE] [--trace-format F] [--metrics FILE]
                 [--metrics-format F]
+                Rejects --faults and --retry: the replay runs without
+                injected faults or client retries.
     sebs report [fleet flags as above]
                 [--out FILE]                  (write the report; default:
                                                stdout)
@@ -155,6 +162,9 @@ USAGE:
 #[derive(Debug, Clone)]
 struct Options {
     positional: Vec<String>,
+    /// Every `--flag` given, in order, so a subcommand can reject the ones
+    /// it would otherwise drop.
+    flags: Vec<String>,
     /// First provider — the single-provider commands use this.
     provider: ProviderKind,
     /// Full provider list (`--provider all` expands to all three).
@@ -214,6 +224,7 @@ impl Options {
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             positional: Vec::new(),
+            flags: Vec::new(),
             provider: ProviderKind::Aws,
             providers: vec![ProviderKind::Aws],
             memory: 512,
@@ -262,6 +273,9 @@ impl Options {
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if arg.starts_with("--") {
+                o.flags.push(arg.clone());
+            }
             let mut value = |name: &str| {
                 it.next()
                     .cloned()
@@ -495,6 +509,30 @@ impl Options {
         }
         Ok(o)
     }
+}
+
+/// Rejects flags a subcommand parses but would silently drop, naming the
+/// flag: `fleet` and `report` replay without faults or retries, and the
+/// cluster attempt chain takes no fault plan, writes no metrics and has
+/// neither hedging nor a circuit breaker.
+fn reject_ignored_flags(command: &str, o: &Options) -> Result<(), String> {
+    let ignored: &[&str] = match command {
+        "fleet" | "report" => &["--faults", "--retry"],
+        "cluster" => &["--faults", "--metrics"],
+        _ => &[],
+    };
+    if let Some(flag) = ignored.iter().find(|f| o.flags.iter().any(|g| g == *f)) {
+        return Err(format!("`sebs {command}` does not support {flag}"));
+    }
+    if command == "cluster" {
+        if o.retry.hedge_after_quantile.is_some() {
+            return Err("`sebs cluster` does not support --retry hedge=…".to_string());
+        }
+        if o.retry.breaker.is_some() {
+            return Err("`sebs cluster` does not support --retry breaker=…".to_string());
+        }
+    }
+    Ok(())
 }
 
 fn cmd_list() -> Result<(), String> {
@@ -1219,6 +1257,37 @@ mod tests {
             .unwrap_err()
             .contains("outside [0, 1]"));
         assert!(parse(&["--faults"]).unwrap_err().contains("needs a value"));
+    }
+
+    #[test]
+    fn flags_a_subcommand_would_drop_are_rejected_by_name() {
+        let check =
+            |command: &str, args: &[&str]| reject_ignored_flags(command, &parse(args).unwrap());
+        for command in ["fleet", "report"] {
+            for (flag, spec) in [("--faults", "crash=0.5"), ("--retry", "attempts=3")] {
+                let err = check(command, &[flag, spec]).unwrap_err();
+                assert!(err.contains(flag) && err.contains(command), "{err}");
+            }
+            // An empty fault spec is still a flag the replay would drop.
+            assert!(check(command, &["--faults", ""]).is_err());
+        }
+        for (flag, spec) in [("--faults", "crash=0.5"), ("--metrics", "m.prom")] {
+            let err = check("cluster", &[flag, spec]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        for (spec, knob) in [
+            ("attempts=3,hedge=0.9", "hedge"),
+            ("attempts=3,breaker=5@30000", "breaker"),
+        ] {
+            let err = check("cluster", &["--retry", spec]).unwrap_err();
+            assert!(err.contains("--retry") && err.contains(knob), "{err}");
+        }
+        // What each subcommand does honour still passes.
+        assert!(check("cluster", &["--retry", "attempts=3,base=50,jitter=0.5"]).is_ok());
+        assert!(check("cluster", &["--trace", "t.json", "--metrics-format", "csv"]).is_ok());
+        assert!(check("fleet", &["--metrics", "m.prom", "--trace", "t.json"]).is_ok());
+        assert!(check("invoke", &["--faults", "crash=0.5", "--retry", "hedge=0.9"]).is_ok());
+        assert!(check("availability", &["--faults", "crash=0.5", "--metrics", "m"]).is_ok());
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub struct SuiteConfig {
     /// its own dedicated RNG streams, so results never change and the
     /// kept set is byte-identical for every `jobs` value.
     pub trace_sampler: Option<SamplerSpec>,
-    /// Sim-time phase profiling (engine dispatch, pool acquire, storage
-    /// ops, billing, runner merges). Purely observational and
-    /// allocation-free: results never change with it on or off.
+    /// Sim-time phase profiling (pool acquire, storage ops, billing,
+    /// runner merges). Purely observational and allocation-free: results
+    /// never change with it on or off.
     pub profile: bool,
     /// Fault plan installed on every platform (see `sebs-resilience`).
     /// The default empty plan is bit-identical to a suite built before

@@ -1,11 +1,12 @@
-//! Deterministic discrete-event simulation kernel for SeBS-RS.
+//! Deterministic simulation substrate for SeBS-RS.
 //!
-//! This crate provides the substrate on which the FaaS platform model is
-//! built: a virtual clock ([`SimTime`] / [`SimDuration`]), a deterministic
+//! This crate provides the pieces the FaaS platform model is built from: a
+//! virtual clock ([`SimTime`] / [`SimDuration`]), a deterministic
 //! multi-stream random number generator ([`rng::SimRng`]), probability
-//! distributions for latency modelling ([`dist::Dist`]), a discrete-event
-//! engine ([`engine::Engine`]) and resource-contention primitives
-//! ([`resource`]).
+//! distributions for latency modelling ([`dist::Dist`]), a sim-time phase
+//! profiler ([`profile`]) and a resource-contention primitive
+//! ([`resource`]). There is no event queue: the platform advances its own
+//! clock as it replays arrivals.
 //!
 //! Everything is deterministic given a seed: running the same experiment
 //! twice produces bit-identical results, which is the property the paper's
@@ -15,31 +16,33 @@
 //! # Example
 //!
 //! ```
-//! use sebs_sim::{SimDuration, engine::Engine};
+//! use sebs_sim::{Dist, SimRng, SimTime};
 //!
-//! let mut engine: Engine<u64> = Engine::new(0, 42);
-//! engine.schedule(SimDuration::from_millis(5), |world, ctx| {
-//!     *world += 1;
-//!     ctx.schedule(SimDuration::from_millis(5), |world, _| *world += 10);
-//! });
-//! engine.run();
-//! assert_eq!(*engine.world(), 11);
-//! assert_eq!(engine.now().as_millis(), 10);
+//! // A cold-start latency: a 150 ms floor plus a log-normal tail.
+//! let latency = Dist::shifted_lognormal(150.0, 3.0, 0.5);
+//! let root = SimRng::new(42);
+//!
+//! // Each component draws from its own labelled stream, so the same seed
+//! // and label always replay the same samples.
+//! let mut a = root.stream("coldstart");
+//! let mut b = root.stream("coldstart");
+//! let d = latency.sample_millis(&mut a);
+//! assert_eq!(d, latency.sample_millis(&mut b));
+//! assert!(d.as_millis() >= 150);
+//!
+//! let done = SimTime::from_secs(1) + d;
+//! assert_eq!(done.duration_since(SimTime::from_secs(1)), d);
 //! ```
 
 pub mod bytes;
 pub mod dist;
-pub mod engine;
 pub mod profile;
 pub mod resource;
 pub mod rng;
-mod slab;
 pub mod time;
-mod wheel;
 
 pub use bytes::Bytes;
 pub use dist::Dist;
-pub use engine::{Engine, EventDispatch, EventId};
 pub use profile::{Phase, PhaseProfiler, PhaseStat};
 pub use rng::{Rng, RngCore, SimRng, StreamRng};
 pub use time::{SimDuration, SimTime};

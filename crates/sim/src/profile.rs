@@ -12,7 +12,7 @@
 //!
 //! * **Preallocated**: the state is one fixed `[PhaseStat; N]` array
 //!   indexed by the [`Phase`] enum — recording never allocates, so it is
-//!   legal on allocation-audited hot paths (`Engine::run`, `invoke_one`).
+//!   legal on the allocation-audited hot path (`invoke_one`).
 //! * **Zero-cost when disabled**: holders keep an `Option<PhaseProfiler>`
 //!   and recording sites are a single `if let Some(..)` branch.
 //! * **Order-independent merge**: per-cell profiles fold by saturating
@@ -24,9 +24,6 @@ use crate::time::SimDuration;
 /// The instrumented hot phases, in canonical display order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
-    /// One engine event popped from the timer wheel and dispatched; the
-    /// recorded sim time is how far the clock jumped to reach it.
-    EngineDispatch,
     /// One sandbox acquisition; the recorded sim time is the cold-start
     /// initialization it cost (zero on warm hits).
     PoolAcquire,
@@ -43,8 +40,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical display order.
-    pub const ALL: [Phase; 5] = [
-        Phase::EngineDispatch,
+    pub const ALL: [Phase; 4] = [
         Phase::PoolAcquire,
         Phase::StorageOp,
         Phase::Billing,
@@ -54,7 +50,6 @@ impl Phase {
     /// The phase's stable display label.
     pub fn label(self) -> &'static str {
         match self {
-            Phase::EngineDispatch => "engine.dispatch",
             Phase::PoolAcquire => "pool.acquire",
             Phase::StorageOp => "storage.op",
             Phase::Billing => "billing.finalize",
@@ -64,11 +59,10 @@ impl Phase {
 
     fn index(self) -> usize {
         match self {
-            Phase::EngineDispatch => 0,
-            Phase::PoolAcquire => 1,
-            Phase::StorageOp => 2,
-            Phase::Billing => 3,
-            Phase::RunnerMerge => 4,
+            Phase::PoolAcquire => 0,
+            Phase::StorageOp => 1,
+            Phase::Billing => 2,
+            Phase::RunnerMerge => 3,
         }
     }
 }
@@ -185,10 +179,10 @@ mod tests {
     #[test]
     fn merge_is_order_independent() {
         let mut a = PhaseProfiler::new();
-        a.record(Phase::EngineDispatch, SimDuration::from_micros(5));
+        a.record(Phase::PoolAcquire, SimDuration::from_micros(5));
         a.record(Phase::Billing, SimDuration::from_millis(2));
         let mut b = PhaseProfiler::new();
-        b.record_events(Phase::EngineDispatch, 9, SimDuration::from_micros(45));
+        b.record_events(Phase::PoolAcquire, 9, SimDuration::from_micros(45));
         b.record(Phase::RunnerMerge, SimDuration::ZERO);
 
         let mut ab = a.clone();
@@ -196,7 +190,7 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.stat(Phase::EngineDispatch).events, 10);
+        assert_eq!(ab.stat(Phase::PoolAcquire).events, 10);
         assert_eq!(ab.total_events(), 12);
     }
 
@@ -214,10 +208,10 @@ mod tests {
     fn rows_are_canonical_and_skip_idle_phases() {
         let mut p = PhaseProfiler::new();
         p.record(Phase::Billing, SimDuration::from_millis(1));
-        p.record(Phase::EngineDispatch, SimDuration::ZERO);
+        p.record(Phase::PoolAcquire, SimDuration::ZERO);
         let rows = p.rows();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, "engine.dispatch", "canonical phase order");
+        assert_eq!(rows[0].0, "pool.acquire", "canonical phase order");
         assert_eq!(rows[1].0, "billing.finalize");
     }
 
@@ -227,7 +221,6 @@ mod tests {
         assert_eq!(
             labels,
             vec![
-                "engine.dispatch",
                 "pool.acquire",
                 "storage.op",
                 "billing.finalize",

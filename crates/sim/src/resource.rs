@@ -3,15 +3,11 @@
 //! The paper attributes several observed effects to *shared* resources:
 //! network bandwidth shared between co-located function instances degrades
 //! I/O-heavy benchmarks (§3.2 "I/O performance", citing up to 20× memory
-//! throughput loss under co-location), and concurrency limits throttle burst
-//! invocations (§6.2 Q3 "Availability"). This module provides the two
-//! primitives the platform model uses for those effects:
-//!
-//! * [`FairShare`] — processor-sharing bandwidth/CPU model: `n` concurrent
-//!   flows each receive `capacity / n`.
-//! * [`TokenBucket`] — rate/concurrency limiter with virtual-time refill.
+//! throughput loss under co-location). This module provides the
+//! processor-sharing primitive the network model uses for that effect:
+//! [`FairShare`], where `n` concurrent flows each receive `capacity / n`.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A processor-sharing resource with a fixed total capacity (e.g. bytes/s of
 /// network bandwidth on a worker server, or CPU cycles/s on a host).
@@ -99,90 +95,6 @@ impl FairShare {
     }
 }
 
-/// A token bucket limiting sustained rate and burst size on virtual time.
-///
-/// Used for provider-side throttling: e.g. AWS Lambda's 1000-function
-/// concurrency limit and GCP's 100-function limit (paper Table 2) are
-/// modelled as buckets that invocations must take a token from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TokenBucket {
-    /// Tokens added per second.
-    refill_per_sec: f64,
-    /// Maximum token count (burst size).
-    burst: f64,
-    tokens: f64,
-    last_refill: SimTime,
-}
-
-impl TokenBucket {
-    /// Creates a full bucket with the given refill rate and burst capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `burst` is not positive or `refill_per_sec` is negative.
-    pub fn new(refill_per_sec: f64, burst: f64) -> Self {
-        assert!(burst > 0.0, "burst must be positive");
-        assert!(refill_per_sec >= 0.0, "refill rate must be non-negative");
-        TokenBucket {
-            refill_per_sec,
-            burst,
-            tokens: burst,
-            last_refill: SimTime::ZERO,
-        }
-    }
-
-    /// Current token count after refilling up to `now`.
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// Attempts to take `n` tokens at time `now`; returns whether it
-    /// succeeded.
-    pub fn try_take(&mut self, now: SimTime, n: f64) -> bool {
-        self.refill(now);
-        if self.tokens + 1e-9 >= n {
-            self.tokens -= n;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns `n` tokens to the bucket (e.g. when a concurrency slot frees),
-    /// clamped at the burst size.
-    pub fn put_back(&mut self, n: f64) {
-        self.tokens = (self.tokens + n).min(self.burst);
-    }
-
-    /// How long from `now` until `n` tokens would be available, or `None`
-    /// if `n` exceeds the burst size (it can never be satisfied) or the
-    /// refill rate is zero and tokens are insufficient.
-    pub fn time_until_available(&mut self, now: SimTime, n: f64) -> Option<SimDuration> {
-        self.refill(now);
-        if n > self.burst {
-            return None;
-        }
-        if self.tokens + 1e-9 >= n {
-            return Some(SimDuration::ZERO);
-        }
-        if self.refill_per_sec <= 0.0 {
-            return None;
-        }
-        let deficit = n - self.tokens;
-        Some(SimDuration::from_secs_f64(deficit / self.refill_per_sec))
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        if now <= self.last_refill {
-            return;
-        }
-        let dt = now.duration_since(self.last_refill).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.refill_per_sec).min(self.burst);
-        self.last_refill = now;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,63 +132,6 @@ mod tests {
         let _ = FairShare::new(0.0);
     }
 
-    #[test]
-    fn token_bucket_burst_then_throttle() {
-        let mut b = TokenBucket::new(10.0, 5.0);
-        let t0 = SimTime::ZERO;
-        // Burst drains the bucket.
-        for _ in 0..5 {
-            assert!(b.try_take(t0, 1.0));
-        }
-        assert!(!b.try_take(t0, 1.0), "bucket is empty");
-        // After 100 ms, one token refilled.
-        let t1 = t0 + SimDuration::from_millis(100);
-        assert!(b.try_take(t1, 1.0));
-        assert!(!b.try_take(t1, 1.0));
-    }
-
-    #[test]
-    fn token_bucket_time_until_available() {
-        let mut b = TokenBucket::new(2.0, 4.0);
-        let t0 = SimTime::ZERO;
-        assert!(b.try_take(t0, 4.0));
-        let wait = b.time_until_available(t0, 1.0).unwrap();
-        assert_eq!(wait, SimDuration::from_millis(500));
-        assert_eq!(
-            b.time_until_available(t0, 4.0).unwrap(),
-            SimDuration::from_secs(2)
-        );
-        assert!(
-            b.time_until_available(t0, 5.0).is_none(),
-            "burst exceeded is never satisfiable"
-        );
-    }
-
-    #[test]
-    fn token_bucket_zero_refill_is_pure_concurrency_limit() {
-        let mut b = TokenBucket::new(0.0, 2.0);
-        let t = SimTime::from_secs(1);
-        assert!(b.try_take(t, 2.0));
-        assert!(b.time_until_available(t, 1.0).is_none());
-        b.put_back(1.0);
-        assert!(b.try_take(t, 1.0));
-    }
-
-    #[test]
-    fn token_bucket_put_back_clamps_at_burst() {
-        let mut b = TokenBucket::new(1.0, 3.0);
-        b.put_back(100.0);
-        assert_eq!(b.available(SimTime::ZERO), 3.0);
-    }
-
-    #[test]
-    fn token_bucket_refill_never_exceeds_burst() {
-        let mut b = TokenBucket::new(100.0, 2.0);
-        assert!(b.try_take(SimTime::ZERO, 2.0));
-        let later = SimTime::from_secs(1000);
-        assert_eq!(b.available(later), 2.0);
-    }
-
     mod properties {
         use super::*;
         use crate::rng::{Rng, SimRng};
@@ -305,38 +160,6 @@ mod tests {
                 );
                 for _ in 0..n {
                     r.release();
-                }
-            }
-        }
-
-        /// A token bucket never goes negative and never exceeds burst.
-        #[test]
-        fn token_bucket_bounds() {
-            for case in 0..CASES {
-                let mut rng = SimRng::new(0x70CE).child(case).stream("inputs");
-                let rate = rng.gen_range(0.0f64..1e4);
-                let burst = rng.gen_range(0.1f64..1e4);
-                let mut takes: Vec<(u64, f64)> = (0..rng.gen_range(1usize..50))
-                    .map(|_| (rng.gen_range(0u64..3600), rng.gen_range(0.1f64..100.0)))
-                    .collect();
-                let mut b = TokenBucket::new(rate, burst);
-                takes.sort_by_key(|&(t, _)| t);
-                for (t, n) in takes {
-                    let now = SimTime::from_secs(t);
-                    let before = b.available(now);
-                    assert!(
-                        (0.0..=burst + 1e-9).contains(&before),
-                        "failing case seed {case}"
-                    );
-                    let ok = b.try_take(now, n);
-                    let after = b.available(now);
-                    assert!(after >= -1e-9, "failing case seed {case}");
-                    if ok {
-                        assert!(
-                            before + 1e-6 >= n,
-                            "take granted without tokens (failing case seed {case})"
-                        );
-                    }
                 }
             }
         }

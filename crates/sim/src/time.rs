@@ -2,9 +2,10 @@
 //!
 //! The simulator never consults the wall clock. All latencies are expressed
 //! as [`SimDuration`] values and accumulated onto [`SimTime`] instants by the
-//! event engine. Both types are thin wrappers over `u64` nanoseconds, chosen
-//! so that a simulation can span ~584 years without overflow while still
-//! resolving sub-microsecond sandbox overheads.
+//! platform model as it replays arrivals. Both types are thin wrappers over
+//! `u64` nanoseconds, chosen so that a simulation can span ~584 years
+//! without overflow while still resolving sub-microsecond sandbox
+//! overheads.
 
 use std::fmt;
 use std::iter::Sum;

@@ -2,7 +2,7 @@
 //! hot-path entry point; the remaining violations live in functions no
 //! entry point reaches, so each rule family fires exactly once.
 
-/// VIOLATION hot-path-allocation: allocates inside an engine entry point.
+/// VIOLATION hot-path-allocation: allocates inside the hot-path entry point.
 pub fn invoke_one(n: usize) -> usize {
     let mut batch: Vec<usize> = Vec::new();
     batch.push(n);

@@ -1,18 +1,12 @@
-//! The fixture's deterministic core: `Engine::run` is a taint entry point.
+//! The fixture's deterministic core: `run_fleet` is a taint entry point.
 
 use fixture_util::tick;
 
-pub struct Engine {
-    pub processed: u64,
-}
-
-impl Engine {
-    /// Launders a wall-clock read through `fixture_util::tick` — the
-    /// two-hop cross-crate chain the taint rule must print.
-    pub fn run(&mut self) -> u64 {
-        self.processed += 1;
-        tick()
-    }
+/// Launders a hash-order read through `fixture_util::tick` — the two-hop
+/// cross-crate chain the taint rule must print.
+pub fn run_fleet(processed: &mut u64) -> u64 {
+    *processed += 1;
+    tick()
 }
 
 /// VIOLATION wall-clock (lexical): a direct host-clock read inside a

@@ -3,7 +3,7 @@
 //! laundering hole the determinism-taint rule exists to close.
 
 /// VIOLATION determinism-taint (the sink): hash-order iteration. Lexically
-/// legal in this non-core crate, but `fixture_sim::Engine::run` reaches it,
+/// legal in this non-core crate, but `fixture_sim::run_fleet` reaches it,
 /// so the taint rule must report the two-hop cross-crate chain.
 pub fn tick(seed: u64) -> u64 {
     let mut m = std::collections::HashMap::new();

@@ -46,12 +46,12 @@ fn taint_finding_carries_the_cross_crate_chain() {
         .expect("fixture seeds one taint violation");
     // The sink lives in fixture-util, which is lexically clean (hash
     // iteration is only a line-rule in core crates) — only the cross-crate
-    // reachability analysis can connect it to the engine.
+    // reachability analysis can connect it to `run_fleet`.
     assert_eq!(taint.symbol, "fixture_util::tick");
     assert!(
         taint
             .detail
-            .contains("fixture_sim::Engine::run -> fixture_util::tick"),
+            .contains("fixture_sim::run_fleet -> fixture_util::tick"),
         "taint detail must print the two-hop chain, got: {}",
         taint.detail
     );

@@ -62,3 +62,20 @@ fn every_allow_names_a_known_rule_and_a_reason() {
         );
     }
 }
+
+#[test]
+fn every_audit_entry_point_resolves() {
+    // A renamed or deleted entry point would match nothing and silently
+    // shrink its rule's coverage to an empty call graph.
+    let root = sebs_audit::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let graph = sebs_audit::workspace_graph(&root).expect("workspace sources are readable");
+    let specs = sebs_audit::taint::TAINT_ENTRY_POINTS
+        .iter()
+        .chain(sebs_audit::taint::HOT_PATH_ENTRY_POINTS);
+    for &spec in specs {
+        assert!(
+            !graph.find_entry_points(&[spec]).is_empty(),
+            "audit entry point {spec:?} matches no function in the workspace"
+        );
+    }
+}

@@ -150,10 +150,17 @@ struct AttemptResult {
     record: InvocationRecord,
     host: Option<u32>,
     queue_wait: SimDuration,
-    /// Queue wait + the attempt's client time: how far this attempt
-    /// extends the chain on the cluster clock.
-    extent: SimDuration,
 }
+
+/// Queue wait + the attempt's client time: how far an attempt extends
+/// the chain on the cluster clock.
+fn extent(record: &InvocationRecord, queue_wait: SimDuration) -> SimDuration {
+    queue_wait + record.client_time
+}
+
+/// Where one attempt of a chain ran: its host (`None` when shed or
+/// rejected) and how long it queued there. Kept only while tracing.
+type Placement = (Option<u32>, SimDuration);
 
 /// A region of hosts behind one dispatch loop. See the crate docs for
 /// the determinism contract.
@@ -161,6 +168,8 @@ pub struct ClusterPlatform {
     config: ClusterConfig,
     hosts: Vec<Host>,
     scheduler: Box<dyn Scheduler>,
+    /// The candidate slate, rebuilt in place on every attempt.
+    slate: Vec<HostView>,
     keepalive: Box<dyn KeepAlivePolicy>,
     functions: Vec<FnMeta>,
     now: SimTime,
@@ -203,7 +212,7 @@ impl ClusterPlatform {
     /// the same seed under names no single-box concern uses.
     pub fn new(config: ClusterConfig, seed: u64) -> ClusterPlatform {
         let root = SimRng::new(seed);
-        let hosts = (0..config.hosts.max(1))
+        let hosts: Vec<Host> = (0..config.hosts.max(1))
             .map(|id| {
                 Host::new(
                     id,
@@ -216,6 +225,7 @@ impl ClusterPlatform {
             .collect();
         ClusterPlatform {
             scheduler: config.scheduler.build(),
+            slate: Vec::with_capacity(hosts.len()),
             keepalive: config.keepalive.build(),
             hosts,
             functions: Vec::new(),
@@ -369,7 +379,14 @@ impl ClusterPlatform {
     ) -> InvocationRecord {
         let prewarm = self.arrival_bookkeeping(id);
         let res = self.attempt(id, workload, payload, prewarm);
-        self.record_trace(id, self.now, res.extent, std::slice::from_ref(&res), 0);
+        self.record_trace(
+            id,
+            self.now,
+            extent(&res.record, res.queue_wait),
+            std::slice::from_ref(&res.record),
+            &[(res.host, res.queue_wait)],
+            0,
+        );
         res.record
     }
 
@@ -385,18 +402,19 @@ impl ClusterPlatform {
         workload: &dyn Workload,
         payload: &Payload,
     ) -> AttemptChain {
-        let policy = self.retry.clone();
         let chain_start = self.now;
         let prewarm = self.arrival_bookkeeping(id);
 
-        let mut results: Vec<AttemptResult> = Vec::new();
+        let mut attempts: Vec<InvocationRecord> = Vec::with_capacity(1);
+        let mut placements: Vec<Placement> = Vec::new();
         let mut waits: Vec<SimDuration> = Vec::new();
         let mut client_time = SimDuration::ZERO;
         let mut prev_host: Option<u32> = None;
         let mut retry_index: u32 = 0;
         loop {
-            let res = self.attempt(id, workload, payload, prewarm && results.is_empty());
-            client_time += res.extent;
+            let res = self.attempt(id, workload, payload, prewarm && attempts.is_empty());
+            let spent = extent(&res.record, res.queue_wait);
+            client_time += spent;
             if let (Some(prev), Some(cur)) = (prev_host, res.host) {
                 if prev != cur {
                     self.stats.failover_hops += 1;
@@ -405,35 +423,47 @@ impl ClusterPlatform {
             if res.host.is_some() {
                 prev_host = res.host;
             }
-            let outcome = res.record.outcome.clone();
-            let extent = res.extent;
-            results.push(res);
+            let retryable = res.record.outcome.retryable();
+            if self.tracing {
+                placements.push((res.host, res.queue_wait));
+            }
+            attempts.push(res.record);
 
-            let attempts_left = (results.len() as u32) < policy.max_attempts;
-            let budget_left = policy.retry_budget.map_or(true, |b| self.retries_spent < b);
-            if !(outcome.retryable() && attempts_left && budget_left) {
+            let attempts_left = (attempts.len() as u32) < self.retry.max_attempts;
+            let budget_left = self
+                .retry
+                .retry_budget
+                .is_none_or(|b| self.retries_spent < b);
+            if !(retryable && attempts_left && budget_left) {
                 break;
             }
-            let wait = policy.backoff_for(retry_index, &mut self.rng_backoff);
-            if let Some(deadline) = policy.deadline {
+            let wait = self.retry.backoff_for(retry_index, &mut self.rng_backoff);
+            if let Some(deadline) = self.retry.deadline {
                 if client_time + wait >= deadline {
                     break;
                 }
             }
             self.retries_spent += 1;
             retry_index += 1;
-            self.advance(extent + wait);
+            self.advance(spent + wait);
             waits.push(wait);
             client_time += wait;
         }
 
-        self.record_trace(id, chain_start, client_time, &results, waits.len());
-        let outcome = results
+        self.record_trace(
+            id,
+            chain_start,
+            client_time,
+            &attempts,
+            &placements,
+            waits.len(),
+        );
+        let outcome = attempts
             .last()
-            .map(|r| r.record.outcome.clone())
+            .map(|r| r.outcome.clone())
             .unwrap_or(InvocationOutcome::ServiceUnavailable);
         AttemptChain {
-            attempts: results.into_iter().map(|r| r.record).collect(),
+            attempts,
             waits,
             hedged: false,
             hedge_won: false,
@@ -481,7 +511,8 @@ impl ClusterPlatform {
         let at = self.now;
         self.sync_crashes(at);
 
-        let mut views: Vec<HostView> = Vec::with_capacity(self.hosts.len());
+        let warm_counts = self.scheduler.reads_warm_counts();
+        self.slate.clear();
         let mut any_alive = false;
         for host in &mut self.hosts {
             if !host.is_up(at) {
@@ -492,28 +523,32 @@ impl ClusterPlatform {
             if !host.has_capacity() {
                 continue;
             }
-            views.push(HostView {
+            self.slate.push(HostView {
                 id: host.id(),
                 inflight: host.inflight(),
                 running: host.running(),
                 cpus: host.cpus(),
-                warm_for_function: host.observe_pool(id).idle,
+                warm_for_function: if warm_counts {
+                    host.observe_pool(id).idle
+                } else {
+                    0
+                },
             });
         }
         if !any_alive {
             self.stats.unavailable += 1;
             return self.rejected(id, InvocationOutcome::ServiceUnavailable);
         }
-        if views.is_empty() {
+        if self.slate.is_empty() {
             self.stats.shed += 1;
             return self.rejected(id, InvocationOutcome::Throttled);
         }
 
         // The scheduler only runs — and may only draw — on a real choice.
-        let picked = if views.len() == 1 {
-            views[0].id
+        let picked = if self.slate.len() == 1 {
+            self.slate[0].id
         } else {
-            self.scheduler.pick(&views, &mut self.rng_sched)
+            self.scheduler.pick(&self.slate, &mut self.rng_sched)
         };
         let idx = picked as usize;
         let queue_wait = self.hosts[idx].queue_wait(at);
@@ -536,9 +571,11 @@ impl ClusterPlatform {
         // invocation spanning its host's next crash dies at the crash
         // instant — pools evicted, bill voided, retryable error out.
         let end = dispatch + record.client_time;
+        // The schedule is sorted by time, so the scan stops at `end`.
         let interrupting = self.crash_events[self.next_crash..]
             .iter()
-            .find(|e| e.host == picked && e.at <= end)
+            .take_while(|e| e.at <= end)
+            .find(|e| e.host == picked)
             .copied();
         if let Some(event) = interrupting {
             record.outcome = InvocationOutcome::FunctionError {
@@ -560,7 +597,6 @@ impl ClusterPlatform {
             self.stats.dispatched += 1;
         }
         AttemptResult {
-            extent: queue_wait + record.client_time,
             queue_wait,
             host: Some(picked),
             record,
@@ -595,39 +631,60 @@ impl ClusterPlatform {
             record,
             host: None,
             queue_wait: SimDuration::ZERO,
-            extent: SimDuration::ZERO,
         }
     }
 
     /// Emits the `cluster-invoke` span tree for one chain: a child per
     /// attempt carrying host, outcome, start kind and queue wait, so
-    /// failover hops are visible in exported traces.
+    /// failover hops are visible in exported traces. `placements` runs
+    /// parallel to `attempts` (it is only filled while tracing).
     fn record_trace(
         &mut self,
         id: FunctionId,
         chain_start: SimTime,
         client_time: SimDuration,
-        results: &[AttemptResult],
+        attempts: &[InvocationRecord],
+        placements: &[Placement],
         hops_budget: usize,
     ) {
         if !self.tracing {
             return;
         }
+        debug_assert_eq!(attempts.len(), placements.len());
+        // Backoff waits sit between attempts inside the root interval,
+        // split evenly over the gaps.
+        let total: SimDuration = attempts
+            .iter()
+            .zip(placements)
+            .map(|(r, &(_, wait))| extent(r, wait))
+            .sum();
+        let wait_budget = if client_time > total {
+            client_time - total
+        } else {
+            SimDuration::ZERO
+        };
+        let gaps = attempts.len().saturating_sub(1);
+        let gap = if gaps > 0 {
+            SimDuration::from_nanos(wait_budget.as_nanos() / gaps as u64)
+        } else {
+            SimDuration::ZERO
+        };
         let meta = &self.functions[id.0 as usize];
         let mut root = TraceSpan::new("cluster-invoke", chain_start, client_time)
             .with_arg("function", meta.name.clone())
-            .with_arg("attempts", results.len().to_string())
+            .with_arg("attempts", attempts.len().to_string())
             .with_arg("waits", hops_budget.to_string());
         let mut cursor = chain_start;
         let mut prev_host: Option<u32> = None;
-        for (i, res) in results.iter().enumerate() {
-            let mut child = TraceSpan::new(format!("attempt-{i}"), cursor, res.extent)
-                .with_arg("outcome", outcome_tag(&res.record.outcome))
+        for (i, (record, &(host, queue_wait))) in attempts.iter().zip(placements).enumerate() {
+            let span_extent = extent(record, queue_wait);
+            let mut child = TraceSpan::new(format!("attempt-{i}"), cursor, span_extent)
+                .with_arg("outcome", outcome_tag(&record.outcome))
                 .with_arg(
                     "queue_wait_ms",
-                    format!("{:.3}", res.queue_wait.as_secs_f64() * 1e3),
+                    format!("{:.3}", queue_wait.as_secs_f64() * 1e3),
                 );
-            match res.host {
+            match host {
                 Some(h) => {
                     child = child.with_arg("host", h.to_string());
                     if let Some(prev) = prev_host {
@@ -639,26 +696,15 @@ impl ClusterPlatform {
                 }
                 None => child = child.with_arg("host", "none"),
             }
-            if res.record.start == StartKind::Cold {
+            if record.start == StartKind::Cold {
                 child = child.with_arg("start", "cold");
             } else {
                 child = child.with_arg("start", "warm");
             }
             root.push_child(child);
-            cursor += res.extent;
-            // Backoff waits sit between attempts inside the root interval.
-            if i < results.len() - 1 {
-                let total: SimDuration = results.iter().map(|r| r.extent).sum();
-                let wait_budget = if client_time > total {
-                    client_time - total
-                } else {
-                    SimDuration::ZERO
-                };
-                let remaining_gaps = results.len() - 1;
-                if remaining_gaps > 0 {
-                    cursor +=
-                        SimDuration::from_nanos(wait_budget.as_nanos() / remaining_gaps as u64);
-                }
+            cursor += span_extent;
+            if i < gaps {
+                cursor += gap;
             }
         }
         debug_assert!(root.validate().is_ok(), "cluster span tree must validate");

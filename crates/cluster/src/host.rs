@@ -30,7 +30,9 @@ pub struct Host {
     queue_depth: u32,
     /// Down (crashed, not yet recovered) until this instant, exclusive.
     down_until: Option<SimTime>,
-    /// Completion times (cluster clock) of admitted invocations.
+    /// Completion times (cluster clock) of admitted invocations,
+    /// ascending: pruning drains a prefix and the queue wait is one
+    /// indexed read.
     inflight: Vec<SimTime>,
     served: u64,
     cold_starts: u64,
@@ -111,7 +113,8 @@ impl Host {
 
     /// Drops inflight entries that completed at or before `now`.
     pub(crate) fn prune_inflight(&mut self, now: SimTime) {
-        self.inflight.retain(|end| *end > now);
+        let done = self.inflight.partition_point(|end| *end <= now);
+        self.inflight.drain(..done);
     }
 
     /// How long a request admitted at `now` waits for a CPU: zero with a
@@ -122,9 +125,7 @@ impl Host {
         if m < cpus {
             return SimDuration::ZERO;
         }
-        let mut ends = self.inflight.clone();
-        ends.sort_unstable();
-        let free_at = ends[m - cpus];
+        let free_at = self.inflight[m - cpus];
         if free_at > now {
             free_at - now
         } else {
@@ -134,7 +135,8 @@ impl Host {
 
     /// Records an admitted invocation completing at `end`.
     pub(crate) fn push_inflight(&mut self, end: SimTime) {
-        self.inflight.push(end);
+        let at = self.inflight.partition_point(|e| *e <= end);
+        self.inflight.insert(at, end);
     }
 
     /// Applies a crash at `at`, recovering at `until`: the warm pool is
@@ -243,5 +245,78 @@ mod tests {
         h.crash(at(60));
         assert!(!h.is_up(at(70)), "down_until never shrinks");
         assert!(h.is_up(at(90)));
+    }
+
+    mod properties {
+        use super::*;
+        use sebs_sim::rng::Rng;
+        use sebs_sim::SimRng;
+
+        const CASES: u64 = 64;
+
+        /// The unsorted bookkeeping the sorted in-flight list replaced:
+        /// retain to prune, clone-and-sort to find the freeing completion.
+        struct Reference {
+            ends: Vec<SimTime>,
+            cpus: usize,
+        }
+
+        impl Reference {
+            fn queue_wait(&self, now: SimTime) -> SimDuration {
+                let m = self.ends.len();
+                if m < self.cpus {
+                    return SimDuration::ZERO;
+                }
+                let mut ends = self.ends.clone();
+                ends.sort_unstable();
+                ends[m - self.cpus].saturating_duration_since(now)
+            }
+        }
+
+        /// Random push / prune / advance / crash sequences on a host give
+        /// the same queue wait, in-flight count and running count as the
+        /// unsorted reference after every step. Completion times are drawn
+        /// from a coarse grid so equal ends (and prunes landing exactly on
+        /// one) are common.
+        #[test]
+        fn sorted_inflight_matches_unsorted_reference() {
+            for case in 0..CASES {
+                let mut rng = SimRng::new(0x1F17).child(case).stream("ops");
+                let cpus = rng.gen_range(1u32..6);
+                let mut h = Host::new(0, ProviderProfile::aws(), 7, cpus, 8);
+                let mut reference = Reference {
+                    ends: Vec::new(),
+                    cpus: cpus as usize,
+                };
+                let mut now = SimTime::ZERO;
+                for step in 0..400 {
+                    match rng.gen_range(0u32..20) {
+                        0..=9 => {
+                            let end = now + SimDuration::from_millis(100 * rng.gen_range(0u64..30));
+                            h.push_inflight(end);
+                            reference.ends.push(end);
+                        }
+                        10..=14 => {
+                            h.prune_inflight(now);
+                            reference.ends.retain(|end| *end > now);
+                        }
+                        15..=18 => now += SimDuration::from_millis(100 * rng.gen_range(0u64..8)),
+                        _ => {
+                            h.crash(now);
+                            reference.ends.clear();
+                        }
+                    }
+                    assert_eq!(
+                        (h.queue_wait(now), h.inflight(), h.running()),
+                        (
+                            reference.queue_wait(now),
+                            reference.ends.len(),
+                            reference.ends.len().min(reference.cpus),
+                        ),
+                        "case {case}, step {step}"
+                    );
+                }
+            }
+        }
     }
 }

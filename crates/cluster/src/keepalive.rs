@@ -107,13 +107,13 @@ const CLAMP_HI_MS: u64 = 7_200_000;
 #[derive(Debug, Clone, Default)]
 struct FnHistory {
     last_arrival: Option<SimTime>,
-    /// Ring buffer of recent idle gaps, milliseconds.
+    /// Ring buffer of recent idle gaps, milliseconds, in arrival order.
     gaps_ms: Vec<u64>,
     next_slot: usize,
-    /// Cached nearest-rank percentiles of `gaps_ms` (valid once the ring
-    /// holds [`HYBRID_MIN_SAMPLES`]).
-    p5_ms: u64,
-    p99_ms: u64,
+    /// The same multiset as `gaps_ms`, ascending: each new gap evicts
+    /// one entry and inserts one by binary search, so the percentiles
+    /// are two indexed reads instead of a sort per arrival.
+    sorted_ms: Vec<u64>,
     /// The keep-alive currently installed on the pools, ms (0 = none yet).
     applied_ms: u64,
 }
@@ -123,17 +123,29 @@ impl FnHistory {
         if self.gaps_ms.len() < HYBRID_WINDOW {
             self.gaps_ms.push(gap_ms);
         } else {
-            self.gaps_ms[self.next_slot] = gap_ms;
+            let evicted = std::mem::replace(&mut self.gaps_ms[self.next_slot], gap_ms);
             self.next_slot = (self.next_slot + 1) % HYBRID_WINDOW;
+            // The first entry equal to `evicted`; it is present because
+            // both vectors hold the same multiset.
+            let at = self.sorted_ms.partition_point(|&g| g < evicted);
+            self.sorted_ms.remove(at);
         }
-        let mut sorted = self.gaps_ms.clone();
-        sorted.sort_unstable();
-        self.p5_ms = nearest_rank(&sorted, 0.05);
-        self.p99_ms = nearest_rank(&sorted, 0.99);
+        let at = self.sorted_ms.partition_point(|&g| g <= gap_ms);
+        self.sorted_ms.insert(at, gap_ms);
     }
 
     fn ready(&self) -> bool {
         self.gaps_ms.len() >= HYBRID_MIN_SAMPLES
+    }
+
+    /// Nearest-rank 5th percentile of the window's gaps, ms.
+    fn p5_ms(&self) -> u64 {
+        nearest_rank(&self.sorted_ms, 0.05)
+    }
+
+    /// Nearest-rank 99th percentile of the window's gaps, ms.
+    fn p99_ms(&self) -> u64 {
+        nearest_rank(&self.sorted_ms, 0.99)
     }
 }
 
@@ -204,8 +216,8 @@ impl KeepAlivePolicy for HybridHistogram {
         if !h.ready() {
             return None;
         }
-        let target_ms = if h.p5_ms <= LONG_GAP_MS {
-            h.p99_ms.clamp(CLAMP_LO_MS, CLAMP_HI_MS)
+        let target_ms = if h.p5_ms() <= LONG_GAP_MS {
+            h.p99_ms().clamp(CLAMP_LO_MS, CLAMP_HI_MS)
         } else {
             CLAMP_LO_MS
         };
@@ -220,14 +232,15 @@ impl KeepAlivePolicy for HybridHistogram {
         let Some(h) = self.fns.get(function as usize) else {
             return false;
         };
-        if !h.ready() || h.p5_ms <= LONG_GAP_MS {
+        let p5_ms = h.p5_ms();
+        if !h.ready() || p5_ms <= LONG_GAP_MS {
             return false;
         }
         let Some(last) = h.last_arrival else {
             return false;
         };
         let gap_ms = ((now - last).as_secs_f64() * 1e3).round() as u64;
-        gap_ms >= h.p5_ms / 100 * 85 && gap_ms <= h.p99_ms / 100 * 115
+        gap_ms >= p5_ms / 100 * 85 && gap_ms <= h.p99_ms() / 100 * 115
     }
 }
 
@@ -383,6 +396,49 @@ mod tests {
             }
         }
         assert_eq!(retunes, 1, "a stable histogram retunes once");
+    }
+
+    mod properties {
+        use super::*;
+        use sebs_sim::rng::Rng;
+        use sebs_sim::SimRng;
+        use std::collections::VecDeque;
+
+        const CASES: u64 = 32;
+
+        /// The incrementally sorted copy holds exactly the last
+        /// `HYBRID_WINDOW` gaps, so p5/p99 equal a clone-and-sort of that
+        /// window after every push. Few distinct values force duplicates
+        /// (the evicted-gap search must remove exactly one of equals), and
+        /// each stream runs the ring round several times.
+        #[test]
+        fn hybrid_percentiles_match_clone_and_sort() {
+            for case in 0..CASES {
+                let mut rng = SimRng::new(0x9A95).child(case).stream("gaps");
+                let distinct = rng.gen_range(1u64..40);
+                let scale = rng.gen_range(1u64..200_000);
+                let pushes = rng.gen_range(HYBRID_WINDOW + 1..4 * HYBRID_WINDOW);
+                let mut h = FnHistory::default();
+                let mut window: VecDeque<u64> = VecDeque::with_capacity(HYBRID_WINDOW + 1);
+                for i in 0..pushes {
+                    let gap = rng.gen_range(0..distinct) * scale;
+                    h.record_gap(gap);
+                    window.push_back(gap);
+                    if window.len() > HYBRID_WINDOW {
+                        window.pop_front();
+                    }
+                    let mut sorted: Vec<u64> = window.iter().copied().collect();
+                    sorted.sort_unstable();
+                    assert_eq!(h.sorted_ms, sorted, "case {case}, push {i}");
+                    assert_eq!(
+                        (h.p5_ms(), h.p99_ms()),
+                        (nearest_rank(&sorted, 0.05), nearest_rank(&sorted, 0.99)),
+                        "case {case}, push {i}"
+                    );
+                }
+                assert_eq!(h.gaps_ms.len(), HYBRID_WINDOW, "the ring wrapped");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@ pub struct HostView {
     pub running: usize,
     /// CPU slots on the host.
     pub cpus: u32,
-    /// Idle warm containers this host holds for the candidate function.
+    /// Idle warm containers this host holds for the candidate function
+    /// (0 unless the scheduler [reads warm counts]).
+    ///
+    /// [reads warm counts]: Scheduler::reads_warm_counts
     pub warm_for_function: usize,
 }
 
@@ -32,6 +35,13 @@ pub trait Scheduler {
 
     /// Chooses a host from the slate.
     fn pick(&mut self, candidates: &[HostView], rng: &mut StreamRng) -> u32;
+
+    /// Whether `pick` reads [`HostView::warm_for_function`]. Counting a
+    /// host's warm containers scans its pool, so the cluster fills the
+    /// field only for policies that say yes and leaves it 0 otherwise.
+    fn reads_warm_counts(&self) -> bool {
+        false
+    }
 }
 
 /// Sends every invocation to the least-loaded host (fewest in-flight
@@ -94,6 +104,10 @@ pub struct Locality;
 impl Scheduler for Locality {
     fn label(&self) -> String {
         "locality".to_string()
+    }
+
+    fn reads_warm_counts(&self) -> bool {
+        true
     }
 
     fn pick(&mut self, candidates: &[HostView], _rng: &mut StreamRng) -> u32 {
@@ -240,6 +254,22 @@ mod tests {
         // Everyone saturated → least loaded.
         assert_eq!(s.pick(&[view(0, 6, 4, 0), view(1, 5, 4, 0)], &mut r), 1);
         assert_eq!(r, pristine, "locality must not draw");
+    }
+
+    #[test]
+    fn only_locality_reads_warm_counts() {
+        for kind in [
+            SchedulerKind::LeastLoaded,
+            SchedulerKind::RandomK(2),
+            SchedulerKind::Locality,
+        ] {
+            assert_eq!(
+                kind.build().reads_warm_counts(),
+                kind == SchedulerKind::Locality,
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]

@@ -103,7 +103,8 @@ USAGE:
                 multi-host region: cold-start rate vs wasted warm GB-s
                 (the SitW Pareto frontier), availability, goodput and
                 cost per extra nine. Byte-identical for any --jobs.
-                Rejects --faults and --metrics.
+                Rejects --faults, --metrics, --cold, --memory,
+                --language, --scale and --samples.
     sebs fleet  [--provider P] [--functions N] [--invocations N]
                 [--horizon-secs S] [--zipf EXP] [--cells N]
                 [--import FILE]               (replay an external trace CSV —
@@ -514,11 +515,22 @@ impl Options {
 /// Rejects flags a subcommand parses but would silently drop, naming the
 /// flag: `fleet` and `report` replay without faults or retries, and the
 /// cluster attempt chain takes no fault plan, writes no metrics and has
-/// neither hedging nor a circuit breaker.
+/// neither hedging nor a circuit breaker. The cluster sweep also sizes
+/// its functions from the synthetic fleet, so the single-function
+/// run-shape flags (`--cold`, `--memory`, `--language`, `--scale`,
+/// `--samples`) have nothing to act on.
 fn reject_ignored_flags(command: &str, o: &Options) -> Result<(), String> {
     let ignored: &[&str] = match command {
         "fleet" | "report" => &["--faults", "--retry"],
-        "cluster" => &["--faults", "--metrics"],
+        "cluster" => &[
+            "--faults",
+            "--metrics",
+            "--cold",
+            "--memory",
+            "--language",
+            "--scale",
+            "--samples",
+        ],
         _ => &[],
     };
     if let Some(flag) = ignored.iter().find(|f| o.flags.iter().any(|g| g == *f)) {
@@ -1271,10 +1283,22 @@ mod tests {
             // An empty fault spec is still a flag the replay would drop.
             assert!(check(command, &["--faults", ""]).is_err());
         }
-        for (flag, spec) in [("--faults", "crash=0.5"), ("--metrics", "m.prom")] {
-            let err = check("cluster", &[flag, spec]).unwrap_err();
-            assert!(err.contains(flag), "{err}");
+        for args in [
+            &["--faults", "crash=0.5"][..],
+            &["--metrics", "m.prom"],
+            &["--cold"],
+            &["--memory", "2048"],
+            &["--language", "nodejs"],
+            &["--scale", "large"],
+            &["--samples", "5"],
+        ] {
+            let err = check("cluster", args).unwrap_err();
+            assert!(err.contains(args[0]) && err.contains("cluster"), "{err}");
         }
+        // Given alongside flags the sweep honours, the dropped one is
+        // still named.
+        let err = check("cluster", &["--hosts", "4", "--cold", "--memory", "2048"]).unwrap_err();
+        assert!(err.contains("--cold"), "{err}");
         for (spec, knob) in [
             ("attempts=3,hedge=0.9", "hedge"),
             ("attempts=3,breaker=5@30000", "breaker"),
